@@ -24,7 +24,6 @@ from __future__ import annotations
 from repro import (
     CandidateSet,
     Dataset,
-    FlexER,
     FlexERConfig,
     GNNConfig,
     GraphConfig,
@@ -37,6 +36,7 @@ from repro import (
 )
 from repro.core import IntentSet
 from repro.evaluation import evaluate_solution, format_table
+from repro.pipeline import PipelineRunner
 
 #: A hand-written catalog: four product families, several variants and
 #: duplicated listings each (title-only records, like AmazonMI).
@@ -138,9 +138,7 @@ def main() -> None:
         graph=GraphConfig(k_neighbors=4),
         gnn=GNNConfig(hidden_dim=32, epochs=60, seed=3),
     )
-    flexer = FlexER(candidates.intents, config)
-    flexer.fit(split.train, split.valid if len(split.valid) > 0 else None)
-    result = flexer.predict(split.test)
+    result = PipelineRunner().run(split, candidates.intents, config)
     evaluation = evaluate_solution(result.solution)
 
     rows = [

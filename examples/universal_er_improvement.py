@@ -5,10 +5,11 @@ classic, single-intent (equivalence) resolution, training FlexER with
 additional intent layers improves the equivalence F1 over the per-intent
 matcher, and using more intent layers helps more (Figure 6).
 
-The script trains the matchers once, then rebuilds the multiplex graph
-with growing intent subsets ({Eq}, {Eq, Brand}, ..., all intents) and
-reports the equivalence-intent F1 of each configuration next to the
-plain In-parallel matcher baseline.
+The script rebuilds the multiplex graph with growing intent subsets
+({Eq}, {Eq, Brand}, ..., all intents) and reports the equivalence-intent
+F1 of each configuration next to the plain In-parallel matcher baseline.
+All runs share one :class:`~repro.pipeline.PipelineRunner`, so the
+matchers train once: later runs restore them from the runner's cache.
 
 Run with::
 
@@ -17,10 +18,11 @@ Run with::
 
 from __future__ import annotations
 
-from repro import FlexER, FlexERConfig, load_benchmark
+from repro import FlexERConfig, load_benchmark
 from repro.core import MIERSolution
 from repro.evaluation import evaluate_binary, format_table
 from repro.matching import InParallelSolver
+from repro.pipeline import PipelineRunner
 
 EQUIVALENCE = "equivalence"
 
@@ -38,12 +40,17 @@ def main() -> None:
     baseline_f1 = evaluate_binary(baseline_prediction, labels).f1
 
     # FlexER with growing intent subsets (always containing equivalence).
-    flexer = FlexER(benchmark.intents, config)
-    flexer.fit(split.train, split.valid)
+    runner = PipelineRunner()
     rows = [["matcher only (DITTO analogue)", 1, baseline_f1]]
     for size in range(1, len(benchmark.intents) + 1):
         subset = benchmark.intents[:size]
-        result = flexer.predict(split.test, intent_subset=subset, target_intents=(EQUIVALENCE,))
+        result = runner.run(
+            split,
+            benchmark.intents,
+            config,
+            intent_subset=subset,
+            target_intents=(EQUIVALENCE,),
+        )
         f1 = evaluate_binary(result.solution.prediction(EQUIVALENCE), labels).f1
         rows.append([" + ".join(subset), size, f1])
 

@@ -67,7 +67,6 @@ from .core import (
     Resolution,
     MIERProblem,
     MIERSolution,
-    FlexER,
     FlexERResult,
 )
 from .evaluation import (
@@ -144,7 +143,6 @@ __all__ = [
     "Resolution",
     "MIERProblem",
     "MIERSolution",
-    "FlexER",
     "FlexERResult",
     "BlockingQuality",
     "evaluate_binary",

@@ -21,11 +21,6 @@ from ..data.records import Dataset
 from ..exec.plan import ShardPlan
 from ..exec.stages import _observe_merge
 
-#: Module-level default for the block-join implementation; flipped by
-#: :func:`repro.perf.compat.use_reference_implementations` to time the
-#: pre-vectorization pair-dict path.
-VECTORIZED = True
-
 
 class Blocker(abc.ABC):
     """Base class for blocking strategies.

@@ -16,7 +16,6 @@ from ..data.records import Dataset
 from ..exceptions import BlockingError
 from ..perf.instrument import profiled
 from ..text.memo import TextMemo
-from . import base
 from .base import Blocker, BlockingStats, join_blocks
 
 #: Tokens too frequent to be discriminative for product titles.
@@ -111,8 +110,6 @@ class TokenBlocker(Blocker):
         including blocks skipped by the ``max_block_size`` guard — are
         kept in :attr:`last_stats`.
         """
-        if not base.VECTORIZED:
-            return self.block_loop(dataset)
         pairs, stats = join_blocks(
             dataset,
             self._index(dataset),

@@ -1,11 +1,10 @@
-"""FlexER core: intents, resolutions, MIER problem objects, and the pipeline."""
+"""FlexER core: intents, resolutions, MIER problem objects, and shared phase records."""
 
+from ..config import FlexERConfig
 from .intents import Intent, IntentSet, IntentRelationships
 from .resolution import Resolution
 from .mier import MIERProblem, MIERSolution
 from .flexer import (
-    FlexER,
-    FlexERConfig,
     FlexERResult,
     FlexERTimings,
     combine_candidate_sets,
@@ -19,7 +18,6 @@ __all__ = [
     "Resolution",
     "MIERProblem",
     "MIERSolution",
-    "FlexER",
     "FlexERConfig",
     "FlexERResult",
     "FlexERTimings",

@@ -15,34 +15,26 @@ FlexER solves MIER in three phases:
    and scores every pair of the layer; test-pair predictions form the
    intent's resolution.
 
-The phase boundaries are exposed as module-level functions
-(:func:`combine_candidate_sets`, :func:`compute_representations`) so the
-staged runner in :mod:`repro.pipeline` can execute — and cache — each
-phase as an addressable stage while :class:`FlexER` keeps the original
-one-shot API.
+This module holds the pieces those phases share:
+:func:`combine_candidate_sets` (the canonical candidate order),
+:func:`compute_representations` (phase 1's output), and the result and
+timing records.  :class:`repro.pipeline.PipelineRunner` runs the phases
+on a split as cached, addressable stages; :func:`repro.fit` and
+:func:`repro.resolve` go through it.
 """
 
 from __future__ import annotations
 
-import time
-import warnings
 from dataclasses import dataclass, field
 from collections.abc import Sequence
 
 import numpy as np
 
-from ..config import FlexERConfig
 from ..data.pairs import CandidateSet
-from ..data.splits import DatasetSplit
-from ..exceptions import IntentError, MatchingError, NotFittedError
+from ..exceptions import MatchingError
 from ..graph.multiplex import MultiplexGraph
-from ..matching import features as _features
 from ..perf.instrument import observe as perf_observe
-from ..registry import GRAPH_BUILDERS, INTENT_CLASSIFIERS, SOLVERS
 from .mier import MIERSolution
-
-#: Values the deprecated ``representation_source`` argument accepted.
-_LEGACY_REPRESENTATION_SOURCES = ("in_parallel", "multi_label")
 
 
 def combine_candidate_sets(
@@ -84,12 +76,10 @@ def compute_representations(
     4.1.1).
 
     Solvers exposing ``intent_outputs`` produce both matrices from one
-    encode + forward pass (bit-identical to the two-call path); the
-    fused path is bypassed when the vectorized feature encoder is
-    disabled so reference timings reflect the original call graph.
+    encode + forward pass (bit-identical to the two-call path).
     """
     if augment_with_scores:
-        if _features.VECTORIZED and hasattr(solver, "intent_outputs"):
+        if hasattr(solver, "intent_outputs"):
             representations, probabilities = solver.intent_outputs(candidates)
         else:
             representations = solver.representations(candidates)
@@ -170,240 +160,3 @@ class FlexERResult:
     graph: MultiplexGraph
     timings: FlexERTimings
     validation_f1: dict[str, float] = field(default_factory=dict)
-
-
-class FlexER:
-    """End-to-end FlexER solver for the MIER problem.
-
-    Every pluggable component — the representation solver, the graph
-    builder, and the per-intent classifier — is constructed through
-    :mod:`repro.registry` from the specs in ``config``
-    (``config.solver``, ``config.graph_builder``, ``config.classifier``),
-    so swapping a backend is a config change, not a code change.
-
-    Parameters
-    ----------
-    intents:
-        Ordered intent names the solver is trained for.
-    config:
-        Matcher, graph, and GNN hyper-parameters plus component specs.
-    representation_source:
-        Deprecated alias for ``config.solver`` (``"in_parallel"`` or
-        ``"multi_label"``); kept for backward compatibility and
-        overrides the config's spec when given.
-    augment_with_scores:
-        When true (default), each node's initial feature vector is the
-        matcher's latent pair representation concatenated with its
-        likelihood score for that intent, so message propagation starts
-        from the matcher's decision and refines it with cross-intent
-        information.
-    """
-
-    def __init__(
-        self,
-        intents: Sequence[str],
-        config: FlexERConfig | None = None,
-        representation_source: str | None = None,
-        augment_with_scores: bool = True,
-    ) -> None:
-        if not intents:
-            raise IntentError("FlexER requires at least one intent")
-        self.intents = tuple(intents)
-        self.config = config or FlexERConfig()
-        solver_spec = self.config.solver
-        if representation_source is not None:
-            if representation_source not in _LEGACY_REPRESENTATION_SOURCES:
-                raise MatchingError(
-                    f"unknown representation source: {representation_source!r}"
-                )
-            warnings.warn(
-                "FlexER(representation_source=...) is deprecated; pass "
-                "FlexERConfig(solver=...) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            solver_spec = representation_source
-        self.augment_with_scores = augment_with_scores
-        self.solver = SOLVERS.create(
-            solver_spec, intents=self.intents, matcher_config=self.config.matcher
-        )
-        self.graph_builder = GRAPH_BUILDERS.create(
-            self.config.graph_builder, config=self.config.graph
-        )
-        self._train: CandidateSet | None = None
-        self._valid: CandidateSet | None = None
-        self.timings = FlexERTimings()
-
-    @property
-    def representation_source(self) -> str:
-        """Registry key of the active solver (back-compat accessor)."""
-        return self.solver.spec_type
-
-    # ------------------------------------------------------------------ fit
-
-    def fit(self, train: CandidateSet, valid: CandidateSet | None = None) -> "FlexER":
-        """Train the per-intent matchers and remember the labeled splits."""
-        start = time.perf_counter()
-        self.solver.fit(train)
-        # A fresh timings object per fit: results of earlier runs keep
-        # their own timings instead of aliasing a shared mutable one.
-        self.timings = FlexERTimings()
-        self.timings.record_stage("matcher-fit", time.perf_counter() - start)
-        self._train = train
-        self._valid = valid
-        return self
-
-    # ------------------------------------------------------------- internals
-
-    def _require_fitted(self) -> CandidateSet:
-        if self._train is None:
-            raise NotFittedError("FlexER must be fitted before predicting")
-        return self._train
-
-    def _resolve_layer_intents(self, intent_subset: Sequence[str] | None) -> tuple[str, ...]:
-        if intent_subset is None:
-            return self.intents
-        unknown = set(intent_subset) - set(self.intents)
-        if unknown:
-            raise IntentError(f"intent subset contains unknown intents: {sorted(unknown)}")
-        return tuple(intent_subset)
-
-    # ---------------------------------------------------------------- predict
-
-    def build_graph(
-        self,
-        candidates: CandidateSet,
-        intent_subset: Sequence[str] | None = None,
-    ) -> MultiplexGraph:
-        """Compute representations and build the multiplex graph over ``candidates``."""
-        layer_intents = self._resolve_layer_intents(intent_subset)
-        start = time.perf_counter()
-        representations = compute_representations(
-            self.solver, candidates, self.augment_with_scores
-        )
-        self.timings.record_stage("representation", time.perf_counter() - start)
-
-        start = time.perf_counter()
-        graph = self.graph_builder.build(representations, intents=layer_intents)
-        self.timings.record_stage("graph-build", time.perf_counter() - start)
-        return graph
-
-    def predict(
-        self,
-        test: CandidateSet,
-        intent_subset: Sequence[str] | None = None,
-        target_intents: Sequence[str] | None = None,
-    ) -> FlexERResult:
-        """Run graph construction and per-intent GNN prediction on ``test``.
-
-        Parameters
-        ----------
-        test:
-            Labeled test candidate set (labels are used only for
-            evaluation downstream, never during prediction).
-        intent_subset:
-            Layers to include in the multiplex graph (Figure 6 analysis);
-            defaults to all intents.
-        target_intents:
-            Intents to predict; defaults to the graph's layers.  Every
-            target intent must be one of the graph's layers.
-        """
-        train = self._require_fitted()
-        valid = self._valid
-        layer_intents = self._resolve_layer_intents(intent_subset)
-        targets = tuple(target_intents) if target_intents is not None else layer_intents
-        outside = set(targets) - set(layer_intents)
-        if outside:
-            raise IntentError(
-                f"target intents {sorted(outside)} are not part of the graph layers"
-            )
-
-        parts = [train]
-        if valid is not None and len(valid) > 0:
-            parts.append(valid)
-        parts.append(test)
-        combined, ranges = combine_candidate_sets(parts)
-        train_index = ranges[0]
-        valid_index = ranges[1] if valid is not None and len(valid) > 0 else None
-        test_index = ranges[-1]
-
-        # Each predict gets a fresh timings instance (matcher time carried
-        # over from fit) so repeated predictions neither accumulate GNN
-        # seconds nor alias one mutable timings object across results.
-        self.timings = FlexERTimings(
-            matcher_training_seconds=self.timings.matcher_training_seconds
-        )
-        timings = self.timings
-        graph = self.build_graph(combined, intent_subset=layer_intents)
-
-        predictions: dict[str, np.ndarray] = {}
-        probabilities: dict[str, np.ndarray] = {}
-        validation_f1: dict[str, float] = {}
-        for intent in targets:
-            start = time.perf_counter()
-            classifier = INTENT_CLASSIFIERS.create(
-                self.config.classifier, config=self.config.gnn
-            )
-            result = classifier.fit_predict(
-                graph,
-                target_intent=intent,
-                train_index=train_index,
-                train_labels=train.labels(intent),
-                valid_index=valid_index,
-                valid_labels=(
-                    valid.labels(intent)
-                    if valid_index is not None and valid is not None
-                    else None
-                ),
-            )
-            elapsed = time.perf_counter() - start
-            timings.record_stage("gnn", elapsed, intent=intent)
-            test_probabilities = result.probabilities[test_index]
-            probabilities[intent] = test_probabilities
-            predictions[intent] = (test_probabilities >= 0.5).astype(np.int64)
-            validation_f1[intent] = result.best_validation_f1
-
-        solution = MIERSolution(
-            candidates=test,
-            predictions=predictions,
-            probabilities=probabilities,
-            solver_name=f"FlexER[{self.representation_source}]",
-        )
-        return FlexERResult(
-            solution=solution,
-            graph=graph,
-            timings=timings,
-            validation_f1=validation_f1,
-        )
-
-    # ------------------------------------------------------------ convenience
-
-    def run_split(
-        self,
-        split: DatasetSplit,
-        intent_subset: Sequence[str] | None = None,
-        target_intents: Sequence[str] | None = None,
-    ) -> FlexERResult:
-        """Fit on the split's train/valid parts and predict its test part.
-
-        .. deprecated::
-            The one-shot ``run_split`` call pattern predates the
-            fit/serve lifecycle split.  Call :meth:`fit` and
-            :meth:`predict` explicitly, or use the train-once /
-            query-many API (:func:`repro.fit` →
-            :meth:`repro.ResolverModel.query`).  This shim keeps the old
-            pattern working unchanged.
-        """
-        warnings.warn(
-            "FlexER.run_split(split) is deprecated; call fit(split.train, "
-            "split.valid) + predict(split.test) explicitly, or use the "
-            "repro.fit() / ResolverModel.query() lifecycle",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.fit(split.train, split.valid if len(split.valid) > 0 else None)
-        return self.predict(
-            split.test,
-            intent_subset=intent_subset,
-            target_intents=target_intents,
-        )

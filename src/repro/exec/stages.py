@@ -55,7 +55,7 @@ def _encode_shard_worker(payload):
 
     inject("exec.encode")
     feature_config, dataset, pairs = payload
-    encoder = PairFeatureEncoder(feature_config, vectorized=True)
+    encoder = PairFeatureEncoder(feature_config)
     return encoder.encode_batch(dataset, list(pairs))
 
 

@@ -26,10 +26,6 @@ from ..exceptions import GraphConstructionError
 from ..perf.instrument import profiled
 from .multiplex import MultiplexGraph
 
-#: Module-level default for the edge-construction implementation; flipped
-#: by :func:`repro.perf.compat.use_reference_implementations`.
-VECTORIZED = True
-
 
 @dataclass(frozen=True)
 class GraphBuildReport:
@@ -128,8 +124,6 @@ class IntentGraphBuilder:
         k = self.config.k_neighbors
         if k == 0:
             return 0
-        if not VECTORIZED:
-            return self._add_intra_layer_edges_loop(graph, matrices)
         count = 0
         num_pairs = graph.num_pairs
         for layer, matrix in enumerate(matrices):
@@ -177,8 +171,6 @@ class IntentGraphBuilder:
         num_layers = graph.num_intents
         if num_layers < 2:
             return 0
-        if not VECTORIZED:
-            return self._add_inter_layer_edges_loop(graph)
         num_pairs = graph.num_pairs
         layers = np.arange(num_layers, dtype=np.int64)
         # Off-diagonal (target_layer, source_layer) combinations in the

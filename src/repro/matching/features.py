@@ -48,11 +48,6 @@ from ..text.similarity import (
 )
 from ..text.vectorizers import HashingVectorizer, HashingVectorizerConfig
 
-#: Module-level default for the encoder implementation; flipped by
-#: :func:`repro.perf.compat.use_reference_implementations` to time the
-#: pre-vectorization loop path.
-VECTORIZED = True
-
 
 @dataclass(frozen=True)
 class PairFeatureConfig:
@@ -94,9 +89,6 @@ class PairFeatureEncoder:
     ----------
     config:
         Feature layout configuration.
-    vectorized:
-        Per-instance override of the implementation choice; ``None``
-        (default) follows the module-level :data:`VECTORIZED` flag.
     """
 
     #: Entry caps of the persistent caches; each cache is cleared when it
@@ -105,13 +97,8 @@ class PairFeatureEncoder:
     JW_CACHE_MAX_ENTRIES = 1 << 16
     SIM_CACHE_MAX_ENTRIES = 1 << 20
 
-    def __init__(
-        self,
-        config: PairFeatureConfig | None = None,
-        vectorized: bool | None = None,
-    ) -> None:
+    def __init__(self, config: PairFeatureConfig | None = None) -> None:
         self.config = config or PairFeatureConfig()
-        self.vectorized = vectorized
         vector_config = HashingVectorizerConfig(n_features=self.config.n_features)
         self._vectorizer = HashingVectorizer(vector_config)
         self._serialization = SerializationConfig(attributes=self.config.attributes)
@@ -167,9 +154,6 @@ class PairFeatureEncoder:
         """Encode a list of candidate pairs into a ``(n, dimension)`` matrix."""
         if not pairs:
             return np.zeros((0, self.dimension), dtype=np.float64)
-        use_vectorized = VECTORIZED if self.vectorized is None else self.vectorized
-        if not use_vectorized:
-            return self.encode_loop(dataset, pairs)
         pair_key = tuple(pair.as_tuple() for pair in pairs)
         if (
             self._last_batch is not None

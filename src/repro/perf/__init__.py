@@ -32,7 +32,6 @@ __all__ = [
     "scenario_matrix_profile",
     "write_report",
     "check_regression",
-    "use_reference_implementations",
     "SCALING_WORKER_COUNTS",
     "SCHEMA_VERSION",
 ]
@@ -45,7 +44,6 @@ _LAZY = {
     "check_regression": "bench",
     "SCALING_WORKER_COUNTS": "bench",
     "SCHEMA_VERSION": "bench",
-    "use_reference_implementations": "compat",
 }
 
 

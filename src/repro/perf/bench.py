@@ -5,12 +5,11 @@ Every entry point here is deterministic and pinned: a
 hyper-parameter, so two runs of the same repository state measure the
 same computation.  The suite runs each workload end-to-end — blocking
 plus the staged :class:`~repro.pipeline.PipelineRunner` on a cold
-artifact cache, then a warm re-run — twice: once with the vectorized hot
-paths and once with the retained loop reference implementations
-(:mod:`repro.perf.compat`), and reports the per-stage breakdown plus the
-end-to-end speedup.  Kernel-level micro-benchmarks (feature encoding,
-block joins, graph edge construction, batched Levenshtein) accompany the
-end-to-end numbers so a regression can be localized.
+artifact cache, then a warm re-run — and reports the per-stage
+breakdown.  Kernel-level micro-benchmarks time each vectorized kernel
+(feature encoding, block joins, graph edge construction, batched
+Levenshtein) against its retained loop oracle and check that both agree,
+so a regression can be localized.
 
 The JSON report is schema-versioned (:data:`SCHEMA_VERSION`);
 :func:`check_regression` compares a fresh run against a committed
@@ -32,10 +31,10 @@ from ..blocking import QGramBlocker
 from ..config import FlexERConfig, GNNConfig, GraphConfig, MatcherConfig
 from ..exec import MERGE_STAGE_PREFIX, available_cpus, executor_spec, make_executor
 from ..graph.builder import IntentGraphBuilder
+from ..graph.multiplex import MultiplexGraph
 from ..matching.features import PairFeatureConfig, PairFeatureEncoder
 from ..pipeline import ArtifactCache, PipelineRunner
 from ..text.similarity import levenshtein_similarities_batch, levenshtein_similarity
-from .compat import use_reference_implementations, vectorization_enabled
 from .instrument import PerfSession, rss_bytes
 
 #: Version of the ``BENCH_perf.json`` document layout.
@@ -130,7 +129,7 @@ def _load_benchmark(workload: PerfWorkload):
     )
 
 
-def run_workload(workload: PerfWorkload, reference: bool = False) -> dict[str, object]:
+def run_workload(workload: PerfWorkload) -> dict[str, object]:
     """Run one workload end-to-end on a cold cache, then a warm re-run.
 
     Returns the JSON-serializable measurement: per-stage records from the
@@ -144,20 +143,18 @@ def run_workload(workload: PerfWorkload, reference: bool = False) -> dict[str, o
     session = PerfSession()
     cache = ArtifactCache()
     runner = PipelineRunner(cache=cache)
-    with use_reference_implementations() if reference else _null_context():
-        with session.activate():
-            start = time.perf_counter()
-            with session.stage("blocking-end-to-end", items=len(benchmark.dataset)):
-                candidate_pairs = blocker.block(benchmark.dataset)
-            with session.stage("pipeline-cold", items=len(benchmark.candidates)):
-                result = runner.run(benchmark.split, benchmark.intents, config=config)
-            end_to_end = time.perf_counter() - start
-            with session.stage("pipeline-warm", items=len(benchmark.candidates)):
-                warm = runner.run(benchmark.split, benchmark.intents, config=config)
+    with session.activate():
+        start = time.perf_counter()
+        with session.stage("blocking-end-to-end", items=len(benchmark.dataset)):
+            candidate_pairs = blocker.block(benchmark.dataset)
+        with session.stage("pipeline-cold", items=len(benchmark.candidates)):
+            result = runner.run(benchmark.split, benchmark.intents, config=config)
+        end_to_end = time.perf_counter() - start
+        with session.stage("pipeline-warm", items=len(benchmark.candidates)):
+            warm = runner.run(benchmark.split, benchmark.intents, config=config)
 
     num_pairs = len(benchmark.candidates)
     return {
-        "implementation": "reference-loops" if reference else "vectorized",
         "end_to_end_wall_seconds": end_to_end,
         "throughput_pairs_per_second": (num_pairs / end_to_end) if end_to_end > 0 else None,
         "num_candidate_pairs": num_pairs,
@@ -222,19 +219,24 @@ def kernel_benchmarks(workload: PerfWorkload) -> list[dict[str, object]]:
     }
     builder = IntentGraphBuilder(GraphConfig(k_neighbors=workload.k_neighbors))
 
-    def build_graph_edges(use_vectorized: bool):
-        if use_vectorized:
-            graph = builder.build(representations)
-        else:
-            with use_reference_implementations():
-                graph = builder.build(representations)
+    def loop_graph_edges():
+        # The builder's per-edge loop passes, in build()'s order, over
+        # the same node layout build() starts from.
+        matrices = list(representations.values())
+        graph = MultiplexGraph(
+            intents=tuple(representations),
+            num_pairs=len(pairs),
+            features=np.concatenate(matrices, axis=0),
+        )
+        builder._add_intra_layer_edges_loop(graph, matrices)
+        builder._add_inter_layer_edges_loop(graph)
         return graph.edge_arrays("mean")
 
     measure(
         "graph-edge-construction",
         len(pairs) * len(benchmark.intents),
-        lambda: build_graph_edges(False),
-        lambda: build_graph_edges(True),
+        loop_graph_edges,
+        lambda: builder.build(representations).edge_arrays("mean"),
     )
 
     # 4. Batched Levenshtein over the candidate pair texts.
@@ -808,7 +810,6 @@ def _results_match(loop_value, vectorized_value) -> bool:
 
 def run_perf_suite(
     smoke: bool = False,
-    compare_reference: bool = True,
     workloads: tuple[PerfWorkload, ...] | None = None,
     scaling_workers: tuple[int, ...] | None = None,
     scaling_executor: str = "processes",
@@ -843,16 +844,9 @@ def run_perf_suite(
     for workload in selected:
         entry: dict[str, object] = {
             "workload": asdict(workload),
-            "vectorized": run_workload(workload, reference=False),
+            "vectorized": run_workload(workload),
             "kernels": kernel_benchmarks(workload),
         }
-        if compare_reference:
-            entry["reference"] = run_workload(workload, reference=True)
-            vectorized_wall = entry["vectorized"]["end_to_end_wall_seconds"]
-            reference_wall = entry["reference"]["end_to_end_wall_seconds"]
-            entry["end_to_end_speedup"] = (
-                reference_wall / vectorized_wall if vectorized_wall > 0 else None
-            )
         if scaling_workers:
             entry["scaling"] = scaling_curve(
                 workload, worker_counts=scaling_workers, executor_type=scaling_executor
@@ -878,24 +872,16 @@ def run_perf_suite(
     total_wall = float(
         sum(entry["vectorized"]["end_to_end_wall_seconds"] for entry in entries)
     )
-    speedups = [
-        entry["end_to_end_speedup"]
-        for entry in entries
-        if entry.get("end_to_end_speedup") is not None
-    ]
     report: dict[str, object] = {
         "schema_version": SCHEMA_VERSION,
         "kind": REPORT_KIND,
         "created_at": _datetime.datetime.now(_datetime.timezone.utc).isoformat(),
         "smoke": smoke,
         "environment": _environment(),
-        "vectorization": vectorization_enabled(),
         "workloads": entries,
         "summary": {
             "num_workloads": len(entries),
             "end_to_end_wall_seconds": total_wall,
-            "end_to_end_speedup_min": min(speedups) if speedups else None,
-            "end_to_end_speedup_max": max(speedups) if speedups else None,
         },
     }
     if retrieval_scale is not None:
@@ -1035,9 +1021,3 @@ def check_regression(
                     f"(floor {floor:.4f} at -{max_regression:.0%})"
                 )
     return problems
-
-
-def _null_context():
-    from contextlib import nullcontext
-
-    return nullcontext()

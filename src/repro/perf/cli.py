@@ -10,10 +10,6 @@ Check a fresh smoke run against the committed baseline (exit code 2 on a
 regression beyond the threshold)::
 
     python -m repro.perf --smoke --check-against BENCH_perf.json
-
-Skip the loop-reference comparison (halves the runtime)::
-
-    python -m repro.perf --smoke --no-reference
 """
 
 from __future__ import annotations
@@ -47,11 +43,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--output",
         default="BENCH_perf.json",
         help="path of the JSON report (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--no-reference",
-        action="store_true",
-        help="skip the loop-reference comparison run",
     )
     parser.add_argument(
         "--check-against",
@@ -134,22 +125,13 @@ def _print_summary(report: dict[str, object]) -> None:
     print(f"repro.perf report (schema v{SCHEMA_VERSION})")
     print(f"  workloads:            {summary['num_workloads']}")
     print(f"  end-to-end wall:      {summary['end_to_end_wall_seconds']:.3f}s")
-    if summary.get("end_to_end_speedup_min") is not None:
-        print(
-            "  vectorized speedup:   "
-            f"{summary['end_to_end_speedup_min']:.2f}x - "
-            f"{summary['end_to_end_speedup_max']:.2f}x vs loop reference"
-        )
     for entry in report["workloads"]:
         workload = entry["workload"]
         vectorized = entry["vectorized"]
-        line = (
+        print(
             f"  [{workload['name']}] {vectorized['end_to_end_wall_seconds']:.3f}s, "
             f"{vectorized['num_candidate_pairs']} pairs"
         )
-        if entry.get("end_to_end_speedup") is not None:
-            line += f", {entry['end_to_end_speedup']:.2f}x vs loops"
-        print(line)
         for kernel in entry["kernels"]:
             speedup = kernel["speedup"]
             speedup_text = f"{speedup:.2f}x" if speedup is not None else "n/a"
@@ -285,7 +267,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             )
     report = run_perf_suite(
         smoke=args.smoke,
-        compare_reference=not args.no_reference,
         scaling_workers=scaling_workers,
         scaling_executor=args.scaling_executor,
         measure_query_latency=args.query_latency,

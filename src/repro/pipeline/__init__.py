@@ -1,6 +1,6 @@
 """Staged FlexER pipeline orchestration with content-addressed caching.
 
-The subsystem decomposes ``FlexER.run_split()`` into addressable stages
+The subsystem runs FlexER on a dataset split as addressable stages
 (matcher-fit → representation → graph-build → per-intent GNN), caches
 each stage's artifact under a fingerprint of its config + input data,
 and executes (dataset × config) scenario grids with shared caching:

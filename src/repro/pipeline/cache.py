@@ -141,6 +141,18 @@ class ArtifactCache:
         if path is not None and not path.exists():
             write_artifact(path, artifact.arrays, artifact.metadata)
 
+    def discard(self, stage: str, digest: str) -> None:
+        """Drop one artifact from memory and disk.
+
+        :meth:`put` never overwrites a published file, so a caller that
+        replaces an outdated artifact (e.g. one written in an older
+        format) discards it first.
+        """
+        self._memory.pop((stage, digest), None)
+        path = self.artifact_path(stage, digest)
+        if path is not None:
+            path.unlink(missing_ok=True)
+
     def contains(self, stage: str, digest: str) -> bool:
         """Whether an artifact exists, without counting a lookup."""
         if not self.config.enabled:

@@ -73,11 +73,9 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--gnn-epochs", type=int, default=40, help="GraphSAGE epochs")
     parser.add_argument(
         "--solver",
-        "--representation-source",
-        dest="solver",
         default="in_parallel",
         choices=registry.available("solver"),
-        help="solver registry key (--representation-source is a deprecated alias)",
+        help="solver registry key",
     )
     parser.add_argument(
         "--executor",

@@ -1,7 +1,7 @@
 """The staged FlexER runner with content-addressed artifact caching.
 
-:class:`PipelineRunner` decomposes ``FlexER.run_split()`` into four
-addressable stages:
+:class:`PipelineRunner` is the one implementation of FlexER's phases on
+a dataset split.  It runs them as four addressable stages:
 
 1. ``matcher-fit`` — train the per-intent matchers on the training pairs;
 2. ``representation`` — encode every candidate pair (train + valid +
@@ -24,7 +24,6 @@ run is byte-identical to the cold run that populated the cache.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import asdict, dataclass, field
 from collections.abc import Mapping, Sequence
 
@@ -40,7 +39,7 @@ from ..core.flexer import (
 from ..core.mier import MIERSolution
 from ..data.pairs import CandidateSet
 from ..data.splits import DatasetSplit
-from ..exceptions import IntentError, MatchingError
+from ..exceptions import IntentError
 from ..exec import Executor, executor_spec, make_executor, run_classifier_jobs
 from ..graph.multiplex import MultiplexGraph
 from ..graph.sage import ClassifierJob
@@ -165,12 +164,9 @@ class PipelineRunner:
     ----------
     cache:
         Shared artifact cache; ``None`` creates a private in-memory one.
-    representation_source:
-        Deprecated alias for ``FlexERConfig(solver=...)``; when given it
-        overrides the solver spec of every run's config.
     augment_with_scores:
         Concatenate matcher likelihoods onto the latent representations
-        (Section 4.1.1; on by default, as in :class:`~repro.core.FlexER`).
+        (Section 4.1.1; on by default).
     feature_config:
         Optional pair-feature encoding override shared by all matchers.
     executor:
@@ -186,24 +182,10 @@ class PipelineRunner:
     def __init__(
         self,
         cache: ArtifactCache | None = None,
-        representation_source: str | None = None,
         augment_with_scores: bool = True,
         feature_config: PairFeatureConfig | None = None,
         executor: object = None,
     ) -> None:
-        self.solver_override: dict[str, object] | None = None
-        if representation_source is not None:
-            if representation_source not in SOLVERS:
-                raise MatchingError(
-                    f"unknown representation source: {representation_source!r}"
-                )
-            warnings.warn(
-                "PipelineRunner(representation_source=...) is deprecated; pass "
-                "FlexERConfig(solver=...) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            self.solver_override = SOLVERS.normalize(representation_source)
         self.cache = cache or ArtifactCache()
         self.augment_with_scores = augment_with_scores
         self.feature_config = feature_config
@@ -214,12 +196,6 @@ class PipelineRunner:
         self._executors: dict[str, Executor] = {}
 
     # -------------------------------------------------------------- factories
-
-    def _solver_spec(self, config: FlexERConfig) -> dict[str, object]:
-        """The normalized solver spec of a run (override-aware)."""
-        if self.solver_override is not None:
-            return self.solver_override
-        return SOLVERS.normalize(config.solver)
 
     def _make_solver(
         self, solver_spec: dict[str, object], intents: tuple[str, ...], config: FlexERConfig
@@ -269,10 +245,13 @@ class PipelineRunner:
     ) -> PipelineResult:
         """Run the staged pipeline over a dataset split.
 
-        Parameters mirror ``FlexER.run_split`` /
-        ``FlexER.predict``: ``intent_subset`` restricts the graph layers
+        The matchers train on ``split.train``; the validation part (when
+        non-empty) selects each GNN's best epoch; the solution covers
+        ``split.test``.  ``intent_subset`` restricts the graph layers
         (Figure 6) and ``target_intents`` restricts which intents get a
-        GNN (defaults to the graph's layers).
+        GNN (defaults to the graph's layers).  Runs sharing one runner
+        share its cache, so e.g. a second run over the same training
+        pairs restores the fitted matchers instead of re-training them.
         """
         result, _ = self._execute(split, intents, config, intent_subset, target_intents)
         return result
@@ -308,7 +287,7 @@ class PipelineRunner:
         valid = split.valid if len(split.valid) > 0 else None
         test = split.test
         events: list[StageEvent] = []
-        solver_spec = self._solver_spec(config)
+        solver_spec = SOLVERS.normalize(config.solver)
         executor = self.executor_for(config)
 
         fingerprint_train = fingerprint_candidates(train)
@@ -424,7 +403,7 @@ class PipelineRunner:
         """
         # Imported lazily: repro.model imports this module at start-up.
         from ..model import MODEL_SCHEMA_VERSION, ResolverModel, fingerprint_corpus
-        from ..registry import CANDIDATE_RETRIEVERS, INTENT_CLASSIFIERS as _CLASSIFIERS
+        from ..registry import CANDIDATE_RETRIEVERS
 
         intents = tuple(intents)
         config = config or FlexERConfig()
@@ -447,34 +426,6 @@ class PipelineRunner:
             return ModelFitResult(model=model, pipeline=result)
 
         start = time.perf_counter()
-        gnn_states: dict[str, dict[str, np.ndarray]] = dict(internals["gnn_states"])
-        stale = [intent for intent in intents if not gnn_states.get(intent)]
-        if stale:
-            # Cached gnn artifacts from before state persistence carry no
-            # parameters; retrain those intents once (seeded, so the
-            # retrained weights reproduce the cached probabilities).
-            graph = internals["graph"]
-            train, valid = split.train, split.valid
-            train_index = np.arange(len(train), dtype=np.int64)
-            has_valid = len(valid) > 0
-            valid_index = (
-                np.arange(len(train), len(train) + len(valid), dtype=np.int64)
-                if has_valid
-                else None
-            )
-            classifier_spec = _CLASSIFIERS.normalize(config.classifier)
-            for intent in stale:
-                classifier = _CLASSIFIERS.create(classifier_spec, config=config.gnn)
-                classifier.fit_predict(
-                    graph,
-                    target_intent=intent,
-                    train_index=train_index,
-                    train_labels=train.labels(intent),
-                    valid_index=valid_index,
-                    valid_labels=valid.labels(intent) if has_valid else None,
-                )
-                gnn_states[intent] = classifier.model_state()
-
         model = ResolverModel.from_fit(
             config=config,
             intents=intents,
@@ -482,7 +433,7 @@ class PipelineRunner:
             solver=internals["solver"],
             representations=internals["representations"],
             graph=internals["graph"],
-            gnn_states=gnn_states,
+            gnn_states=internals["gnn_states"],
             retriever_spec=retriever_spec,
             augment_with_scores=self.augment_with_scores,
             feature_config=self.feature_config,
@@ -525,7 +476,7 @@ class PipelineRunner:
         # artifacts cached under any executor serve every other one.
         return digest(
             STAGE_MATCHER_FIT,
-            self._solver_spec(config),
+            SOLVERS.normalize(config.solver),
             list(tuple(intents)),
             config.matcher,
             self._feature_fingerprint(),
@@ -553,7 +504,7 @@ class PipelineRunner:
             stage_artifact(
                 dict(state),
                 elapsed_seconds,
-                solver=str(self._solver_spec(config)["type"]),
+                solver=str(SOLVERS.normalize(config.solver)["type"]),
                 num_train_pairs=len(train),
             ),
         )
@@ -705,7 +656,7 @@ class PipelineRunner:
         best_f1: float,
         elapsed: float,
         intent: str,
-        state: Mapping[str, np.ndarray] | None = None,
+        state: Mapping[str, np.ndarray],
     ) -> None:
         arrays: dict[str, np.ndarray] = {
             "probabilities": probabilities,
@@ -714,7 +665,7 @@ class PipelineRunner:
         # Trained parameters ride along under a reserved prefix so a
         # model fit over a warm cache restores the intent's GNN weights
         # without retraining.
-        for name, array in (state or {}).items():
+        for name, array in state.items():
             arrays[f"{_GNN_STATE_PREFIX}{name}"] = array
         self.cache.put(stage, key, stage_artifact(arrays, elapsed, intent=intent))
 
@@ -746,8 +697,9 @@ class PipelineRunner:
         task per intent, each shipping the graph payload plus that
         intent's supervision arrays and returning layer probabilities
         that are bit-identical to the serial training.  Each outcome also
-        carries the trained parameter arrays (empty when a pre-state
-        cached artifact was hit) for model assembly.
+        carries the trained parameter arrays for model assembly; a cached
+        artifact without them (written before they were persisted) counts
+        as a miss and is replaced by a retrained one.
         """
         classifier_spec = INTENT_CLASSIFIERS.normalize(config.classifier)
         valid_labels_of = (
@@ -763,18 +715,18 @@ class PipelineRunner:
                 classifier_spec, graph_key, config, intent, train_index, valid_index
             )
             artifact = self.cache.get(stage, key)
-            if artifact is not None:
-                layer_probabilities = artifact.arrays["probabilities"]
-                best_f1 = float(artifact.arrays["best_validation_f1"][0])
-                event = StageEvent(stage, key, STATUS_HIT, artifact.elapsed_seconds)
+            state = self._gnn_state_from_artifact(artifact) if artifact is not None else {}
+            if state:
                 outcomes[intent] = (
-                    layer_probabilities,
-                    best_f1,
-                    event,
-                    self._gnn_state_from_artifact(artifact),
+                    artifact.arrays["probabilities"],
+                    float(artifact.arrays["best_validation_f1"][0]),
+                    StageEvent(stage, key, STATUS_HIT, artifact.elapsed_seconds),
+                    state,
                 )
-            else:
-                pending.append((intent, stage, key))
+                continue
+            if artifact is not None:
+                self.cache.discard(stage, key)
+            pending.append((intent, stage, key))
         if not pending:
             return outcomes
 
@@ -816,7 +768,7 @@ class PipelineRunner:
                 valid_labels=valid_labels_of(intent),
             )
             elapsed = time.perf_counter() - start
-            state = classifier.model_state() if hasattr(classifier, "model_state") else {}
+            state = classifier.model_state()
             self._store_gnn_artifact(
                 stage, key, result.probabilities, result.best_validation_f1, elapsed, intent, state
             )

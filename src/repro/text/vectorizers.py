@@ -26,13 +26,6 @@ def _stable_hash(token: str, salt: str = "") -> int:
     return int.from_bytes(digest, "little")
 
 
-#: When false, bucket lookups recompute the digest on every occurrence —
-#: the pre-optimization behaviour, restored by
-#: :func:`repro.perf.compat.use_reference_implementations` so reference
-#: timings do not silently benefit from the cache.
-CACHE_BUCKETS = True
-
-
 @dataclass(frozen=True)
 class HashingVectorizerConfig:
     """Configuration of :class:`HashingVectorizer`."""
@@ -92,8 +85,6 @@ class HashingVectorizer:
 
     def _bucket(self, token: str) -> tuple[int, float]:
         """Bucket index and sign of ``token`` (memoized)."""
-        if not CACHE_BUCKETS:
-            return self._bucket_uncached(token)
         cached = self._bucket_cache.get(token)
         if cached is None:
             cached = self._bucket_uncached(token)
@@ -134,20 +125,18 @@ class HashingVectorizer:
         texts = list(texts)
         if not texts:
             return np.zeros((0, self.config.n_features), dtype=np.float64)
-        caching = CACHE_BUCKETS
-        if caching and len(self._text_cache) > self.TEXT_CACHE_MAX_ENTRIES:
+        if len(self._text_cache) > self.TEXT_CACHE_MAX_ENTRIES:
             self._text_cache.clear()
-        if caching and len(self._bucket_cache) > self.BUCKET_CACHE_MAX_ENTRIES:
+        if len(self._bucket_cache) > self.BUCKET_CACHE_MAX_ENTRIES:
             self._bucket_cache.clear()
         index_blocks: list[np.ndarray] = []
         sign_blocks: list[np.ndarray] = []
         lengths = np.zeros(len(texts), dtype=np.int64)
         for row, text in enumerate(texts):
-            cached = self._text_cache.get(text) if caching else None
+            cached = self._text_cache.get(text)
             if cached is None:
                 cached = self._text_buckets(text)
-                if caching:
-                    self._text_cache[text] = cached
+                self._text_cache[text] = cached
             lengths[row] = cached[0].size
             index_blocks.append(cached[0])
             sign_blocks.append(cached[1])
@@ -174,7 +163,6 @@ class HashingVectorizer:
         """
         config = self.config
         cache = self._bucket_cache
-        caching = CACHE_BUCKETS
         normalized = normalize(text) if config.char_ngram_sizes else ""
         keys: list[tuple[str, str]] = []
         for size in config.char_ngram_sizes:
@@ -193,11 +181,10 @@ class HashingVectorizer:
         indices = np.empty(len(keys), dtype=np.int64)
         signs = np.empty(len(keys), dtype=np.float64)
         for position, key in enumerate(keys):
-            cached = cache.get(key) if caching else None
+            cached = cache.get(key)
             if cached is None:
                 cached = self._bucket_uncached(key[0] + key[1])
-                if caching:
-                    cache[key] = cached
+                cache[key] = cached
             indices[position] = cached[0]
             signs[position] = cached[1]
         return indices, signs

@@ -7,37 +7,35 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.core import FlexER, MIERSolution
+from repro.core import MIERSolution
+from repro.data.pairs import CandidateSet
+from repro.data.splits import DatasetSplit
 from repro.evaluation import evaluate_solution
-from repro.exceptions import IntentError, MatchingError, NotFittedError
+from repro.exceptions import IntentError, RegistryError
 from repro.matching import InParallelSolver, NaiveSolver
+from repro.pipeline import PipelineRunner
 
 
 @pytest.fixture(scope="module")
 def flexer_result(tiny_benchmark, fast_config):
     """A single shared FlexER run over the tiny benchmark."""
-    flexer = FlexER(tiny_benchmark.intents, fast_config)
-    split = tiny_benchmark.split
-    flexer.fit(split.train, split.valid if len(split.valid) > 0 else None)
-    result = flexer.predict(split.test)
-    return flexer, result
+    return PipelineRunner().run(tiny_benchmark.split, tiny_benchmark.intents, fast_config)
 
 
 class TestFlexERPipeline:
-    def test_requires_intents_and_valid_source(self):
+    def test_requires_intents_and_valid_source(self, tiny_benchmark, fast_config):
+        runner = PipelineRunner()
         with pytest.raises(IntentError):
-            FlexER([])
-        with pytest.raises(MatchingError):
-            FlexER(["equivalence"], representation_source="transformer")
-
-    def test_predict_requires_fit(self, tiny_benchmark, fast_config):
-        flexer = FlexER(tiny_benchmark.intents, fast_config)
-        with pytest.raises(NotFittedError):
-            flexer.predict(tiny_benchmark.split.test)
+            runner.run(tiny_benchmark.split, [], fast_config)
+        with pytest.raises(RegistryError):
+            runner.run(
+                tiny_benchmark.split,
+                tiny_benchmark.intents,
+                replace(fast_config, solver="transformer"),
+            )
 
     def test_solution_covers_all_intents(self, tiny_benchmark, flexer_result):
-        _, result = flexer_result
-        solution = result.solution
+        solution = flexer_result.solution
         assert set(solution.intents) == set(tiny_benchmark.intents)
         for intent in tiny_benchmark.intents:
             prediction = solution.prediction(intent)
@@ -45,39 +43,36 @@ class TestFlexERPipeline:
             assert set(np.unique(prediction)) <= {0, 1}
 
     def test_probabilities_are_valid(self, flexer_result):
-        _, result = flexer_result
-        for probabilities in result.solution.probabilities.values():
+        for probabilities in flexer_result.solution.probabilities.values():
             assert probabilities.min() >= 0.0 and probabilities.max() <= 1.0
 
     def test_graph_dimensions(self, tiny_benchmark, flexer_result, fast_config):
-        _, result = flexer_result
         split = tiny_benchmark.split
         expected_pairs = len(split.train) + len(split.valid) + len(split.test)
-        assert result.graph.num_pairs == expected_pairs
-        assert result.graph.num_intents == len(tiny_benchmark.intents)
+        graph = flexer_result.graph
+        assert graph.num_pairs == expected_pairs
+        assert graph.num_intents == len(tiny_benchmark.intents)
         # Node features: the latent representation plus the matcher's score.
-        assert result.graph.feature_dim == fast_config.matcher.representation_dim + 1
+        assert graph.feature_dim == fast_config.matcher.representation_dim + 1
 
     def test_timings_recorded(self, flexer_result):
-        _, result = flexer_result
-        timings = result.timings
+        timings = flexer_result.timings
         assert timings.matcher_training_seconds > 0
         assert timings.graph_build_seconds > 0
         assert timings.gnn_total_seconds > 0
-        assert set(result.timings.gnn_seconds_per_intent) == set(result.solution.intents)
+        assert set(timings.gnn_seconds_per_intent) == set(flexer_result.solution.intents)
 
     def test_evaluation_is_reasonable(self, flexer_result):
-        _, result = flexer_result
-        evaluation = evaluate_solution(result.solution)
+        evaluation = evaluate_solution(flexer_result.solution)
         assert 0.0 <= evaluation.mi_accuracy <= 1.0
         assert evaluation.mi_f1 > 0.3
 
     def test_intent_subset_restricts_graph_and_targets(self, tiny_benchmark, fast_config):
-        flexer = FlexER(tiny_benchmark.intents, fast_config)
-        flexer.fit(tiny_benchmark.split.train, tiny_benchmark.split.valid)
         subset = ("equivalence", "brand")
-        result = flexer.predict(
-            tiny_benchmark.split.test,
+        result = PipelineRunner().run(
+            tiny_benchmark.split,
+            tiny_benchmark.intents,
+            fast_config,
             intent_subset=subset,
             target_intents=("equivalence",),
         )
@@ -85,50 +80,41 @@ class TestFlexERPipeline:
         assert set(result.solution.intents) == {"equivalence"}
 
     def test_target_outside_subset_rejected(self, tiny_benchmark, fast_config):
-        flexer = FlexER(tiny_benchmark.intents, fast_config)
-        flexer.fit(tiny_benchmark.split.train)
         with pytest.raises(IntentError):
-            flexer.predict(
-                tiny_benchmark.split.test,
+            PipelineRunner().run(
+                tiny_benchmark.split,
+                tiny_benchmark.intents,
+                fast_config,
                 intent_subset=("equivalence",),
                 target_intents=("brand",),
             )
 
     def test_unknown_subset_intent_rejected(self, tiny_benchmark, fast_config):
-        flexer = FlexER(tiny_benchmark.intents, fast_config)
-        flexer.fit(tiny_benchmark.split.train)
         with pytest.raises(IntentError):
-            flexer.predict(tiny_benchmark.split.test, intent_subset=("nonexistent",))
+            PipelineRunner().run(
+                tiny_benchmark.split,
+                tiny_benchmark.intents,
+                fast_config,
+                intent_subset=("nonexistent",),
+            )
 
     def test_multi_label_solver_spec_runs(self, tiny_benchmark, fast_config):
         config = replace(fast_config, solver="multi_label")
-        flexer = FlexER(tiny_benchmark.intents, config)
-        assert flexer.representation_source == "multi_label"
-        flexer.fit(tiny_benchmark.split.train, tiny_benchmark.split.valid)
-        result = flexer.predict(tiny_benchmark.split.test, target_intents=("equivalence",))
+        result = PipelineRunner().run(
+            tiny_benchmark.split, tiny_benchmark.intents, config, target_intents=("equivalence",)
+        )
+        assert result.solution.solver_name == "FlexER[multi_label]"
         assert set(result.solution.intents) == {"equivalence"}
 
-    def test_run_split_shim_warns_and_matches_fit_predict(self, tiny_benchmark, fast_config):
-        """The deprecated one-shot pattern still works, with a warning."""
-        split = tiny_benchmark.split
-        shimmed = FlexER(tiny_benchmark.intents, fast_config)
-        with pytest.warns(DeprecationWarning, match="run_split"):
-            old = shimmed.run_split(split, target_intents=("equivalence",))
-        explicit = FlexER(tiny_benchmark.intents, fast_config)
-        explicit.fit(split.train, split.valid if len(split.valid) > 0 else None)
-        new = explicit.predict(split.test, target_intents=("equivalence",))
-        assert np.array_equal(
-            old.solution.probabilities["equivalence"],
-            new.solution.probabilities["equivalence"],
-        )
-
     def test_predict_timings_do_not_alias_or_accumulate(self, tiny_benchmark, fast_config):
-        flexer = FlexER(tiny_benchmark.intents, fast_config)
-        flexer.fit(tiny_benchmark.split.train, tiny_benchmark.split.valid)
-        first = flexer.predict(tiny_benchmark.split.test, target_intents=("equivalence",))
+        runner = PipelineRunner()
+        split = tiny_benchmark.split
+        first = runner.run(
+            split, tiny_benchmark.intents, fast_config, target_intents=("equivalence",)
+        )
         first_gnn = dict(first.timings.gnn_seconds_per_intent)
-        second = flexer.predict(tiny_benchmark.split.test)
-        # Each predict owns a fresh timings object; the second run must
+        second = runner.run(split, tiny_benchmark.intents, fast_config)
+        # Each run owns a fresh timings object; the second run must
         # neither mutate the first result's timings nor accumulate them.
         assert first.timings is not second.timings
         assert first.timings.gnn_seconds_per_intent == first_gnn
@@ -138,13 +124,26 @@ class TestFlexERPipeline:
             second.timings.matcher_training_seconds
         )
 
+    def test_split_without_validation_pairs(self, tiny_benchmark, fast_config):
+        split = tiny_benchmark.split
+        empty = CandidateSet(split.train.dataset, intents=split.train.intents)
+        result = PipelineRunner().run(
+            DatasetSplit(train=split.train, valid=empty, test=split.test),
+            tiny_benchmark.intents,
+            fast_config,
+        )
+        assert result.graph.num_pairs == len(split.train) + len(split.test)
+        assert set(result.solution.intents) == set(tiny_benchmark.intents)
+        for probabilities in result.solution.probabilities.values():
+            assert probabilities.shape == (len(split.test),)
+            assert probabilities.min() >= 0.0 and probabilities.max() <= 1.0
+
 
 class TestExpectedResultShape:
     """Coarse checks that the paper's qualitative findings hold."""
 
     def test_flexer_beats_naive_on_mi_recall(self, tiny_benchmark, fast_config, flexer_result):
-        _, result = flexer_result
-        flexer_eval = evaluate_solution(result.solution)
+        flexer_eval = evaluate_solution(flexer_result.solution)
         naive = NaiveSolver(
             tiny_benchmark.intents, matcher_config=fast_config.matcher
         ).fit(tiny_benchmark.split.train)
@@ -157,8 +156,7 @@ class TestExpectedResultShape:
         assert flexer_eval.mi_f1 > naive_eval.mi_f1
 
     def test_flexer_at_least_matches_in_parallel(self, tiny_benchmark, fast_config, flexer_result):
-        _, result = flexer_result
-        flexer_eval = evaluate_solution(result.solution)
+        flexer_eval = evaluate_solution(flexer_result.solution)
         parallel = InParallelSolver(
             tiny_benchmark.intents, matcher_config=fast_config.matcher
         ).fit(tiny_benchmark.split.train)

@@ -73,6 +73,43 @@ class TestFit:
         assert warm.pipeline.stage_status()[STAGE_MODEL] == "hit"
         assert warm.model.fingerprint() == cold.model.fingerprint()
 
+    def test_gnn_artifact_without_weights_is_retrained(
+        self, model_config, tiny_benchmark, tmp_path
+    ):
+        """A gnn artifact written before weights were persisted is a miss."""
+        from repro.data.serialization import write_artifact
+        from repro.pipeline import ArtifactCache, PipelineRunner
+
+        split, intents = tiny_benchmark.split, tiny_benchmark.intents
+        cold = PipelineRunner().fit_model(split, intents, model_config)
+        # A warm on-disk cache whose gnn artifacts carry no state:: arrays.
+        warm = PipelineRunner(cache=ArtifactCache(tmp_path)).run(split, intents, model_config)
+        gnn_events = [event for event in warm.events if event.stage.startswith("gnn:")]
+        assert len(gnn_events) == len(intents)
+        disk = ArtifactCache(tmp_path)
+        for event in gnn_events:
+            artifact = disk.get(event.stage, event.key)
+            arrays = {
+                name: array
+                for name, array in artifact.arrays.items()
+                if not name.startswith("state::")
+            }
+            assert len(arrays) < len(artifact.arrays)
+            write_artifact(disk.artifact_path(event.stage, event.key), arrays, artifact.metadata)
+
+        stale = PipelineRunner(cache=ArtifactCache(tmp_path)).fit_model(
+            split, intents, model_config
+        )
+        statuses = stale.pipeline.stage_status()
+        assert {statuses[event.stage] for event in gnn_events} == {"computed"}
+        assert statuses[STAGE_MATCHER_FIT] == "hit"
+        assert stale.model.fingerprint() == cold.model.fingerprint()
+        # The retrained artifacts replaced the stale ones on disk.
+        again = PipelineRunner(cache=ArtifactCache(tmp_path)).fit_model(
+            split, intents, model_config
+        )
+        assert again.pipeline.computed_stages == ()
+
     def test_describe(self, model_world):
         model, _, _ = model_world
         description = model.describe()

@@ -123,7 +123,7 @@ class TestFlexerTimingsHooks:
 @pytest.fixture(scope="module")
 def suite_report():
     """One tiny suite run shared by the report/regression/CLI tests."""
-    return run_perf_suite(workloads=(TINY_WORKLOAD,), compare_reference=True)
+    return run_perf_suite(workloads=(TINY_WORKLOAD,))
 
 
 class TestPerfSuite:
@@ -134,8 +134,6 @@ class TestPerfSuite:
         entry = suite_report["workloads"][0]
         assert entry["workload"]["name"] == "tiny_unit_test"
         assert entry["vectorized"]["end_to_end_wall_seconds"] > 0
-        assert entry["reference"]["end_to_end_wall_seconds"] > 0
-        assert entry["end_to_end_speedup"] > 0
         stage_names = {stage["name"] for stage in entry["vectorized"]["stages"]}
         assert "pipeline-cold" in stage_names
         assert "blocking-end-to-end" in stage_names
@@ -196,7 +194,7 @@ class TestCli:
 
     def test_cli_writes_report_and_passes_check(self, tmp_path, capsys):
         output = tmp_path / "BENCH_perf.json"
-        assert perf_main(["--smoke", "--output", str(output), "--no-reference"]) == 0
+        assert perf_main(["--smoke", "--output", str(output)]) == 0
         report = load_report(output)
         assert report["smoke"] is True
         assert "end_to_end_speedup" not in report["workloads"][0]
@@ -204,7 +202,7 @@ class TestCli:
 
     def test_cli_regression_exit_code(self, tmp_path):
         baseline_path = tmp_path / "baseline.json"
-        assert perf_main(["--smoke", "--output", str(baseline_path), "--no-reference"]) == 0
+        assert perf_main(["--smoke", "--output", str(baseline_path)]) == 0
         baseline = load_report(baseline_path)
         baseline["workloads"][0]["vectorized"]["end_to_end_wall_seconds"] = 1e-9
         baseline["summary"]["end_to_end_wall_seconds"] = 1e-9
@@ -214,7 +212,6 @@ class TestCli:
                 "--smoke",
                 "--output",
                 str(tmp_path / "current.json"),
-                "--no-reference",
                 "--check-against",
                 str(baseline_path),
             ]

@@ -287,28 +287,6 @@ class TestPipelineCaching:
             )
 
 
-class TestPipelineMatchesFlexER:
-    def test_pipeline_reproduces_flexer_run(self, pipeline_benchmark, pipeline_config):
-        """The staged runner is a refactoring of FlexER.run_split."""
-        from repro.core import FlexER
-
-        flexer = FlexER(pipeline_benchmark.intents, pipeline_config)
-        split = pipeline_benchmark.split
-        flexer.fit(split.train, split.valid if len(split.valid) > 0 else None)
-        direct = flexer.predict(split.test, target_intents=(EQUIVALENCE,))
-        staged = PipelineRunner().run(
-            pipeline_benchmark.split,
-            pipeline_benchmark.intents,
-            pipeline_config,
-            target_intents=(EQUIVALENCE,),
-        )
-        assert np.array_equal(
-            direct.solution.probabilities[EQUIVALENCE],
-            staged.solution.probabilities[EQUIVALENCE],
-        )
-        assert direct.graph.in_neighbors == staged.graph.in_neighbors
-
-
 class TestBatchRunner:
     def test_k_sweep_skips_matcher_and_representation(
         self, pipeline_benchmark, pipeline_config

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
-from repro import FlexER, registry
+from repro import registry
 from repro.blocking import FullBlocker, QGramBlocker, TokenBlocker
 from repro.config import FlexERConfig, GNNConfig, GraphConfig
-from repro.exceptions import MatchingError, RegistryError
+from repro.exceptions import RegistryError
 from repro.graph import IntentGraphBuilder, IntentNodeClassifier
 from repro.matching import InParallelSolver, MultiLabelSolver, NaiveSolver
 from repro.pipeline import PipelineRunner, digest
@@ -144,27 +146,11 @@ class TestRegistration:
             BLOCKERS.spec(object())
 
 
-class TestBackCompatShims:
-    def test_flexer_representation_source_warns_and_maps_to_solver(self):
-        with pytest.warns(DeprecationWarning, match="representation_source"):
-            flexer = FlexER(INTENTS, representation_source="multi_label")
-        assert isinstance(flexer.solver, MultiLabelSolver)
-        assert flexer.representation_source == "multi_label"
-
-    def test_flexer_unknown_representation_source_keeps_old_error(self):
-        with pytest.raises(MatchingError):
-            FlexER(INTENTS, representation_source="transformer")
-
-    def test_runner_representation_source_warns_and_overrides_config(self):
-        with pytest.warns(DeprecationWarning, match="representation_source"):
-            runner = PipelineRunner(representation_source="multi_label")
-        spec = runner._solver_spec(FlexERConfig())
-        assert spec["type"] == "multi_label"
-
-    def test_runner_unknown_representation_source_keeps_old_error(self):
-        with pytest.raises(MatchingError):
-            PipelineRunner(representation_source="transformer")
-
-    def test_config_solver_spec_drives_flexer_without_warning(self):
-        flexer = FlexER(INTENTS, FlexERConfig(solver="naive"))
-        assert isinstance(flexer.solver, NaiveSolver)
+class TestSolverSpec:
+    def test_config_solver_picks_runner_solver(self, tiny_benchmark, fast_config):
+        config = replace(fast_config, solver="naive")
+        result, internals = PipelineRunner()._execute(
+            tiny_benchmark.split, ("equivalence",), config
+        )
+        assert isinstance(internals["solver"], NaiveSolver)
+        assert result.solution.solver_name == "FlexER[naive]"

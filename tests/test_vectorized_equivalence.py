@@ -6,13 +6,16 @@ per-edge passes, the scalar similarity functions).  These property-style
 tests assert, on randomized inputs, that every batched kernel reproduces
 its oracle exactly — bit-identical where the arithmetic is exact integer
 sums, which covers all of them — and that the resolver produces identical
-predictions under both implementations end to end.
+predictions end to end when :func:`loop_oracles` routes the library's
+entry points onto the oracles.
 """
 
 from __future__ import annotations
 
 import random
 import warnings
+from collections.abc import Iterator
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -30,7 +33,6 @@ from repro.data.records import Dataset, Record
 from repro.datasets import BENCHMARK_LABELERS
 from repro.graph.builder import IntentGraphBuilder
 from repro.matching.features import PairFeatureConfig, PairFeatureEncoder
-from repro.perf.compat import use_reference_implementations, vectorization_enabled
 from repro.pipeline import ArtifactCache
 from repro.text.similarity import (
     _jaro_similarity_fast,
@@ -60,6 +62,34 @@ VOCABULARY = [
     "a",
     "",
 ]
+
+
+@contextmanager
+def loop_oracles() -> Iterator[None]:
+    """Route the vectorized entry points onto their loop oracles.
+
+    Pair encoding, the q-gram and token block joins, and both graph edge
+    passes run their retained per-item loop implementations inside the
+    block; everything is restored on exit.
+    """
+
+    def intra_layer_loop(builder, graph, matrices):
+        # The loop pass has no k=0 shortcut of its own.
+        if builder.config.k_neighbors == 0:
+            return 0
+        return IntentGraphBuilder._add_intra_layer_edges_loop(builder, graph, matrices)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(PairFeatureEncoder, "encode_batch", PairFeatureEncoder.encode_loop)
+        patch.setattr(QGramBlocker, "block", QGramBlocker.block_loop)
+        patch.setattr(TokenBlocker, "block", TokenBlocker.block_loop)
+        patch.setattr(IntentGraphBuilder, "_add_intra_layer_edges", intra_layer_loop)
+        patch.setattr(
+            IntentGraphBuilder,
+            "_add_inter_layer_edges",
+            IntentGraphBuilder._add_inter_layer_edges_loop,
+        )
+        yield
 
 
 def random_text(rng: random.Random, max_words: int = 8) -> str:
@@ -163,10 +193,11 @@ class TestBatchedEncoder:
         rng = random.Random(31)
         dataset = random_dataset(rng, 10)
         pairs = random_pairs(rng, dataset, 12)
-        encoder = PairFeatureEncoder(PairFeatureConfig(n_features=16))
-        vectorized = encoder.encode(dataset, pairs)
-        with use_reference_implementations():
-            reference = encoder.encode(dataset, pairs)
+        config = PairFeatureConfig(n_features=16)
+        vectorized = PairFeatureEncoder(config).encode(dataset, pairs)
+        # A fresh encoder: a reused one would answer from its result cache.
+        with loop_oracles():
+            reference = PairFeatureEncoder(config).encode(dataset, pairs)
         assert np.array_equal(vectorized, reference)
 
     def test_encode_without_optional_blocks(self):
@@ -256,7 +287,7 @@ class TestGraphEdgeConstruction:
         )
         builder = IntentGraphBuilder(config)
         vectorized = builder.build(representations)
-        with use_reference_implementations():
+        with loop_oracles():
             loop = builder.build(representations)
         assert vectorized.num_edges == loop.num_edges
         assert vectorized.intra_edge_count == loop.intra_edge_count
@@ -313,7 +344,7 @@ class TestEndToEndEquivalence:
 
     def test_vectorized_and_reference_resolutions_match(self, mier_benchmark, config):
         vectorized = self._resolve(mier_benchmark, config, ArtifactCache())
-        with use_reference_implementations():
+        with loop_oracles():
             reference = self._resolve(mier_benchmark, config, ArtifactCache())
         for intent in vectorized.solution.intents:
             assert np.array_equal(
@@ -337,10 +368,3 @@ class TestEndToEndEquivalence:
             assert np.array_equal(
                 cold.solution.probabilities[intent], warm.solution.probabilities[intent]
             )
-
-    def test_flags_restore_after_context(self):
-        before = vectorization_enabled()
-        assert all(before.values())
-        with use_reference_implementations():
-            assert not any(vectorization_enabled().values())
-        assert vectorization_enabled() == before
