@@ -5,6 +5,10 @@ neighbours computed with Faiss over L2 distance, using only the
 exhaustive (exact) index.  This module provides the same computation in
 numpy, for L2 and cosine distances, with optional self-exclusion and
 chunked evaluation to bound memory.
+
+Results are ordered by ``(distance, index)``, as a stable sort of each
+distance row would order them.  The ``k`` columns are selected in linear
+time (:func:`smallest_k`) and only those are sorted.
 """
 
 from __future__ import annotations
@@ -32,6 +36,52 @@ class NeighborResult:
         return self.indices.tolist()
 
 
+def _dot(queries: np.ndarray, data_t: np.ndarray, row_invariant: bool) -> np.ndarray:
+    """``queries @ data_t``, optionally one query row per BLAS call.
+
+    A ``(m, 1, d)`` stack makes numpy's matmul loop issue, for each row,
+    exactly the product a one-row query issues.
+    """
+    if not row_invariant:
+        return queries @ data_t
+    return (queries[:, np.newaxis, :] @ data_t)[:, 0, :]
+
+
+def smallest_k(distances: np.ndarray, k: int) -> np.ndarray:
+    """Column indices of each row's ``k`` smallest values, smallest first.
+
+    Equal to ``np.argsort(distances, axis=1, kind="stable")[:, :k]`` —
+    ties (and NaNs, which sort last) keep index order — without sorting
+    whole rows: ``np.partition`` finds each row's k-th smallest value,
+    every column strictly below it is kept plus the lowest-index columns
+    tied with it, and only those ``k`` columns are stable-sorted.
+    """
+    num_columns = distances.shape[1]
+    if k >= num_columns:
+        return np.argsort(distances, axis=1, kind="stable")[:, :k]
+    kth = np.partition(distances, k - 1, axis=1)[:, k - 1 : k]
+    kth_nan = np.isnan(kth)
+    if kth_nan.any():
+        # NaN compares false to everything but sorts after every number.
+        is_nan = np.isnan(distances)
+        below = np.where(kth_nan, ~is_nan, distances < kth)
+        tied = np.where(kth_nan, is_nan, distances == kth)
+    else:
+        below = distances < kth
+        tied = distances == kth
+    keep = below | tied
+    crowded = np.flatnonzero(keep.sum(axis=1) > k)
+    if crowded.size:
+        # More columns tie with the k-th value than there are slots left:
+        # keep the lowest-index ones, as a stable sort would.
+        slots = k - below[crowded].sum(axis=1, keepdims=True)
+        ties = tied[crowded]
+        keep[crowded] = below[crowded] | (ties & (np.cumsum(ties, axis=1) <= slots))
+    columns = np.nonzero(keep)[1].reshape(-1, k)
+    order = np.argsort(np.take_along_axis(distances, columns, axis=1), axis=1, kind="stable")
+    return np.take_along_axis(columns, order, axis=1)
+
+
 class ExactNearestNeighbors:
     """Brute-force exact kNN index.
 
@@ -43,6 +93,11 @@ class ExactNearestNeighbors:
     chunk_size:
         Number of query rows scored per block, bounding peak memory.
     """
+
+    #: Distance entries per block of a row-invariant search.  Its rows do
+    #: not depend on how they are blocked, so blocks shrink as the index
+    #: grows: against a million rows, one query row is scored at a time.
+    ROW_INVARIANT_BLOCK_ENTRIES = 1 << 20
 
     def __init__(self, metric: str = "l2", chunk_size: int = 1024) -> None:
         if metric not in ("l2", "cosine"):
@@ -71,19 +126,20 @@ class ExactNearestNeighbors:
         """Number of indexed rows."""
         return 0 if self._data is None else self._data.shape[0]
 
-    def _distances(self, queries: np.ndarray) -> np.ndarray:
+    def _distances(self, queries: np.ndarray, row_invariant: bool = False) -> np.ndarray:
         assert self._data is not None
         if self.metric == "l2":
             # ||q - x||^2 = ||q||^2 - 2 q.x + ||x||^2
             query_norms = (queries**2).sum(axis=1, keepdims=True)
             data_norms = (self._data**2).sum(axis=1)[np.newaxis, :]
-            distances = query_norms - 2.0 * queries @ self._data.T + data_norms
+            products = _dot(queries, self._data.T, row_invariant)
+            distances = query_norms - 2.0 * products + data_norms
             return np.maximum(distances, 0.0)
         assert self._normalized is not None
         norms = np.linalg.norm(queries, axis=1, keepdims=True)
         norms[norms == 0] = 1.0
         normalized_queries = queries / norms
-        return 1.0 - normalized_queries @ self._normalized.T
+        return 1.0 - _dot(normalized_queries, self._normalized.T, row_invariant)
 
     def search(
         self,
@@ -91,6 +147,7 @@ class ExactNearestNeighbors:
         k: int,
         exclude_self: bool = False,
         query_offset: int = 0,
+        row_invariant: bool = False,
     ) -> NeighborResult:
         """Find the ``k`` nearest indexed rows of each query row.
 
@@ -106,6 +163,12 @@ class ExactNearestNeighbors:
             index with its own rows.
         query_offset:
             Offset applied to query rows for self-exclusion.
+        row_invariant:
+            Make each row's result independent of the other query rows:
+            the dot products run one query row at a time, as a one-row
+            search would run them (a batched BLAS product can change a
+            row's last bits with the batch's row count).  Online callers
+            set it so a record's neighbours do not depend on its batch.
         """
         if self._data is None:
             raise ConfigurationError("the index must be fitted before searching")
@@ -125,17 +188,20 @@ class ExactNearestNeighbors:
                 distances=np.zeros((num_queries, effective_k), dtype=np.float64),
             )
 
+        block_rows = self.chunk_size
+        if row_invariant:
+            block_rows = max(1, min(block_rows, self.ROW_INVARIANT_BLOCK_ENTRIES // n_indexed))
         index_blocks: list[np.ndarray] = []
         distance_blocks: list[np.ndarray] = []
-        for start in range(0, num_queries, self.chunk_size):
-            stop = min(start + self.chunk_size, num_queries)
-            distances = self._distances(queries[start:stop])
+        for start in range(0, num_queries, block_rows):
+            stop = min(start + block_rows, num_queries)
+            distances = self._distances(queries[start:stop], row_invariant)
             if exclude_self:
                 rows = np.arange(start, stop, dtype=np.int64)
                 self_indices = query_offset + rows
                 in_range = (self_indices >= 0) & (self_indices < n_indexed)
                 distances[rows[in_range] - start, self_indices[in_range]] = np.inf
-            order = np.argsort(distances, axis=1, kind="stable")[:, :effective_k]
+            order = smallest_k(distances, effective_k)
             index_blocks.append(order)
             distance_blocks.append(np.take_along_axis(distances, order, axis=1))
 

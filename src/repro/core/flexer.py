@@ -67,28 +67,29 @@ def compute_representations(
     solver,
     candidates: CandidateSet,
     augment_with_scores: bool = True,
+    *,
+    one_shot: bool = False,
 ) -> dict[str, np.ndarray]:
     """Per-intent representations of ``candidates`` from a fitted solver.
 
     When ``augment_with_scores`` is true each intent's latent matrix is
     concatenated with the matcher's likelihood score for that intent, so
     message propagation starts from the matcher's decision (Section
-    4.1.1).
+    4.1.1).  Both come from the solver's ``intent_outputs``: one encode
+    and one forward pass.
 
-    Solvers exposing ``intent_outputs`` produce both matrices from one
-    encode + forward pass (bit-identical to the two-call path).
+    The online query path passes ``one_shot=True`` for a batch that
+    will not recur: each row's values then equal a one-pair call's,
+    whatever else is in the batch, and its texts stay out of the
+    encoder's caches.  Fit, exact replay and update keep the default.
     """
-    if augment_with_scores:
-        if hasattr(solver, "intent_outputs"):
-            representations, probabilities = solver.intent_outputs(candidates)
-        else:
-            representations = solver.representations(candidates)
-            probabilities = solver.predict_proba(candidates)
-        return {
-            intent: np.hstack([matrix, probabilities[intent][:, np.newaxis]])
-            for intent, matrix in representations.items()
-        }
-    return solver.representations(candidates)
+    representations, probabilities = solver.intent_outputs(candidates, one_shot=one_shot)
+    if not augment_with_scores:
+        return representations
+    return {
+        intent: np.hstack([matrix, probabilities[intent][:, np.newaxis]])
+        for intent, matrix in representations.items()
+    }
 
 
 @dataclass

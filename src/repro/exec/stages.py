@@ -148,8 +148,9 @@ def query_records_sharded(
 
     The model ships as its payload arrays (one copy per shard task) and
     each worker serves its contiguous record range in ``"online"`` mode.
-    Because frozen inference is per-pair independent, concatenating the
-    shard outputs in plan order is bit-identical to one unsharded
+    Because each pair's frozen inference is row-invariant (its result
+    does not depend on the rest of its batch), concatenating the shard
+    outputs in plan order is bit-identical to one unsharded
     ``model.query(records, mode="online")`` call — which is exactly what
     a serial (or empty) executor falls back to.
 

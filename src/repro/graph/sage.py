@@ -182,6 +182,10 @@ class FrozenSAGE:
     already known.  This class wraps a ``state_dict`` so a persisted
     model can run that arithmetic without constructing modules or
     aggregation operators.
+
+    Inputs may carry leading batch axes: a ``(B, P, d)`` stack of B
+    pairs' P layer nodes is multiplied one ``(P, d)`` block at a time,
+    so each pair's output is bit-identical to running it alone.
     """
 
     def __init__(self, state: Mapping[str, np.ndarray], config: GNNConfig) -> None:
@@ -213,7 +217,7 @@ class FrozenSAGE:
     def convolve(self, level: int, hidden: np.ndarray, aggregated: np.ndarray) -> np.ndarray:
         """Apply convolution ``level`` to own/neighbourhood hidden states."""
         weight, bias = self._conv_weights[level]
-        out = np.concatenate([hidden, aggregated], axis=1) @ weight + bias
+        out = np.concatenate([hidden, aggregated], axis=-1) @ weight + bias
         if level < len(self._conv_weights) - 1:
             out = np.maximum(out, 0.0)
         return out
@@ -222,9 +226,9 @@ class FrozenSAGE:
         """Positive-class probability of each row of final hidden states."""
         weight, bias = self._head
         logits = hidden @ weight + bias
-        shifted = logits - logits.max(axis=1, keepdims=True)
+        shifted = logits - logits.max(axis=-1, keepdims=True)
         exponents = np.exp(shifted)
-        return (exponents / exponents.sum(axis=1, keepdims=True))[:, 1]
+        return (exponents / exponents.sum(axis=-1, keepdims=True))[..., 1]
 
 
 @dataclass

@@ -149,11 +149,24 @@ class PairFeatureEncoder:
             blocks.append(similarities)
         return np.concatenate(blocks)
 
-    @profiled("pair-feature-encode", items_from=lambda self, dataset, pairs: len(pairs))
-    def encode(self, dataset: Dataset, pairs: list[RecordPair]) -> np.ndarray:
-        """Encode a list of candidate pairs into a ``(n, dimension)`` matrix."""
+    @profiled(
+        "pair-feature-encode",
+        items_from=lambda self, dataset, pairs, one_shot=False: len(pairs),
+    )
+    def encode(
+        self, dataset: Dataset, pairs: list[RecordPair], one_shot: bool = False
+    ) -> np.ndarray:
+        """Encode a list of candidate pairs into a ``(n, dimension)`` matrix.
+
+        ``one_shot=True`` marks a batch that will not recur, such as an
+        online query's pairs: it goes straight to :meth:`encode_batch`,
+        skipping the result cache and the executor, and its texts are
+        looked up in the text cache but not inserted.
+        """
         if not pairs:
             return np.zeros((0, self.dimension), dtype=np.float64)
+        if one_shot:
+            return self.encode_batch(dataset, pairs, cache_texts=False)
         pair_key = tuple(pair.as_tuple() for pair in pairs)
         if (
             self._last_batch is not None
@@ -185,8 +198,14 @@ class PairFeatureEncoder:
 
     # -------------------------------------------------------------- batched
 
-    def encode_batch(self, dataset: Dataset, pairs: list[RecordPair]) -> np.ndarray:
-        """Vectorized batch encoding, bit-identical to :meth:`encode_loop`."""
+    def encode_batch(
+        self, dataset: Dataset, pairs: list[RecordPair], cache_texts: bool = True
+    ) -> np.ndarray:
+        """Vectorized batch encoding, bit-identical to :meth:`encode_loop`.
+
+        With ``cache_texts=False`` the vectorizer's text cache is read
+        but not written.
+        """
         if not pairs:
             return np.zeros((0, self.dimension), dtype=np.float64)
         if self._memo is None or self._memo.dataset is not dataset:
@@ -212,10 +231,10 @@ class PairFeatureEncoder:
             for pair in pairs
         ]
 
-        blocks = [self._vectorizer.transform(pair_texts)]
+        blocks = [self._vectorizer.transform(pair_texts, cache_texts)]
         if self.config.use_interaction_features:
             record_matrix = self._vectorizer.transform(
-                [memo.text(rid) for rid in record_ids]
+                [memo.text(rid) for rid in record_ids], cache_texts
             )
             left_rows = np.fromiter(
                 (record_row[pair.left_id] for pair in pairs), dtype=np.int64, count=len(pairs)

@@ -26,7 +26,7 @@ from ..nn import (
     l2_penalty,
     multilabel_weighted_bce,
 )
-from .pair_matcher import TrainingHistory
+from .pair_matcher import TrainingHistory, row_stack
 
 
 class _MultiHeadNetwork(Module):
@@ -63,19 +63,16 @@ class _MultiHeadNetwork(Module):
         """Shared trunk representation."""
         return self.trunk(inputs).relu()
 
-    def intent_representation(self, inputs: Tensor, intent_index: int) -> Tensor:
-        """Per-intent latent representation (layer prior to the intent output)."""
-        return self._heads[intent_index](self.shared(inputs))
+    def intent_outputs(self, inputs: Tensor) -> tuple[list[Tensor], Tensor]:
+        """Every intent's latent representation and the logits, one trunk pass."""
+        shared = self.shared(inputs)
+        hidden = [head(shared) for head in self._heads]
+        scores = [getattr(self, f"scorer{index}")(h) for index, h in enumerate(hidden)]
+        return hidden, Tensor.concat(scores, axis=-1)
 
     def forward(self, inputs: Tensor) -> Tensor:
         """Raw scores of shape ``(n, P)`` (one logit per intent)."""
-        shared = self.shared(inputs)
-        scores = []
-        for index in range(self.num_intents):
-            head_output = self._heads[index](shared)
-            scorer: Linear = getattr(self, f"scorer{index}")
-            scores.append(scorer(head_output))
-        return Tensor.concat(scores, axis=1)
+        return self.intent_outputs(inputs)[1]
 
 
 class MultiLabelMatcher:
@@ -214,14 +211,25 @@ class MultiLabelMatcher:
         """Binary predictions for a single intent."""
         return self.predict(features, threshold)[:, self._intent_index(intent)]
 
-    def representations(self, features: np.ndarray, intent: str) -> np.ndarray:
-        """Per-intent latent representations (layer prior to the intent output)."""
+    def outputs(
+        self, features: np.ndarray, row_invariant: bool = False
+    ) -> tuple[list[np.ndarray], np.ndarray]:
+        """Per-intent representations and the likelihood matrix, one pass.
+
+        The representations are each intent's layer prior to its output
+        (one array per intent, in intent order); the likelihoods equal
+        :meth:`predict_proba`'s.  With ``row_invariant`` each row's
+        values are those of a one-row call (see
+        :func:`~repro.matching.pair_matcher.row_stack`).
+        """
         model = self._require_model()
         model.eval()
-        hidden = model.intent_representation(
-            Tensor(np.asarray(features, dtype=np.float64)), self._intent_index(intent)
-        )
-        return hidden.numpy().copy()
+        inputs = row_stack(features, row_invariant)
+        hidden, logits = model.intent_outputs(Tensor(inputs))
+        rows = inputs.shape[0]
+        representations = [head.numpy().reshape(rows, model.head_dim).copy() for head in hidden]
+        probabilities = logits.sigmoid().numpy().reshape(rows, model.num_intents).copy()
+        return representations, probabilities
 
     @property
     def representation_dim(self) -> int:

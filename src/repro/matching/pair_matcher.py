@@ -19,6 +19,18 @@ from ..exceptions import MatchingError, NotFittedError
 from ..nn import MLP, Adam, Tensor, cross_entropy, l2_penalty
 
 
+def row_stack(features: np.ndarray, row_invariant: bool) -> np.ndarray:
+    """Feature rows as a matcher input, optionally as a ``(n, 1, d)`` stack.
+
+    A batched BLAS product can change a row's last bits with the batch's
+    row count.  Given a stack, numpy's matmul loop multiplies one
+    ``(1, d)`` row at a time — the product a one-row batch makes — so
+    each row's outputs no longer depend on the rows beside it.
+    """
+    features = np.asarray(features, dtype=np.float64)
+    return features[:, np.newaxis, :] if row_invariant else features
+
+
 @dataclass
 class TrainingHistory:
     """Per-epoch training metadata returned by the matchers."""
@@ -141,37 +153,31 @@ class PairMatcher:
         model = self._require_model()
         model.eval()
         logits = model(Tensor(np.asarray(features, dtype=np.float64)))
-        probabilities = logits.softmax(axis=1).numpy()
-        return probabilities[:, 1]
+        probabilities = logits.softmax(axis=-1).numpy()
+        return probabilities[..., 1]
 
     def predict(self, features: np.ndarray, threshold: float = 0.5) -> np.ndarray:
         """Binary predictions obtained by thresholding the likelihoods."""
         return (self.predict_proba(features) >= threshold).astype(np.int64)
 
-    def representations(self, features: np.ndarray) -> np.ndarray:
-        """Latent pair representations (last hidden layer, the ``[CLS]`` analogue)."""
-        model = self._require_model()
-        model.eval()
-        hidden = model.hidden_representation(
-            Tensor(np.asarray(features, dtype=np.float64))
-        )
-        return hidden.numpy().copy()
-
-    def outputs(self, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def outputs(
+        self, features: np.ndarray, row_invariant: bool = False
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Latent representations and likelihoods from one shared forward pass.
 
-        Identical values to calling :meth:`representations` and
-        :meth:`predict_proba` separately — the likelihood head runs on
-        the same hidden activations — at half the forward cost.
+        The representations are the last hidden layer (the ``[CLS]``
+        analogue); the likelihood head runs on them, so the likelihoods
+        equal :meth:`predict_proba`'s.  With ``row_invariant`` each row's
+        values are those of a one-row call (see :func:`row_stack`).
         """
         model = self._require_model()
         model.eval()
-        hidden = model.hidden_representation(
-            Tensor(np.asarray(features, dtype=np.float64))
-        )
+        inputs = row_stack(features, row_invariant)
+        hidden = model.hidden_representation(Tensor(inputs))
         logits = model.head(hidden)
-        probabilities = logits.softmax(axis=1).numpy()[:, 1]
-        return hidden.numpy().copy(), probabilities
+        probabilities = logits.softmax(axis=-1).numpy()[..., 1]
+        rows, width = inputs.shape[0], hidden.shape[-1]
+        return hidden.numpy().reshape(rows, width).copy(), probabilities.reshape(rows)
 
     @property
     def representation_dim(self) -> int:

@@ -11,8 +11,9 @@ These are the three baselines of the paper (Section 5.2.4):
   one sigmoid head per intent (Eq. 2 loss).
 
 All solvers share the interface ``fit(train) / predict(test)`` over
-labeled :class:`~repro.data.pairs.CandidateSet` objects and can expose
-per-intent latent representations for graph construction.
+labeled :class:`~repro.data.pairs.CandidateSet` objects and expose
+per-intent latent representations for graph construction, together
+with their likelihoods, through ``intent_outputs``.
 """
 
 from __future__ import annotations
@@ -113,9 +114,13 @@ class BaseSolver:
             **params,
         )
 
-    def encode(self, candidates: CandidateSet) -> np.ndarray:
-        """Encode every candidate pair into the feature matrix."""
-        return self.encoder.encode(candidates.dataset, candidates.pairs)
+    def encode(self, candidates: CandidateSet, one_shot: bool = False) -> np.ndarray:
+        """Encode every candidate pair into the feature matrix.
+
+        ``one_shot=True`` marks a batch that will not recur; see
+        :meth:`PairFeatureEncoder.encode`.
+        """
+        return self.encoder.encode(candidates.dataset, candidates.pairs, one_shot)
 
     def _check_intents(self, candidates: CandidateSet) -> None:
         missing = set(self.intents) - set(candidates.intents)
@@ -192,25 +197,18 @@ class NaiveSolver(BaseSolver):
         universal = self.matcher.predict_proba(features)
         return {intent: universal.copy() for intent in self.intents}
 
-    def representations(self, candidates: CandidateSet) -> dict[str, np.ndarray]:
-        """The universal latent representation, reused for every intent.
+    def intent_outputs(
+        self, candidates: CandidateSet, one_shot: bool = False
+    ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
+        """The universal representations and likelihoods, reused for every intent.
 
         Lets the one-size-fits-all baseline serve as a FlexER
         representation source (every graph layer starts from the same
-        universal matcher's latent space).
+        universal matcher's latent space); one encode + forward pass.
         """
         self._require_fitted()
-        features = self.encode(candidates)
-        universal = self.matcher.representations(features)
-        return {intent: universal.copy() for intent in self.intents}
-
-    def intent_outputs(
-        self, candidates: CandidateSet
-    ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
-        """Representations and likelihoods from one encode + forward pass."""
-        self._require_fitted()
-        features = self.encode(candidates)
-        universal_repr, universal_proba = self.matcher.outputs(features)
+        features = self.encode(candidates, one_shot)
+        universal_repr, universal_proba = self.matcher.outputs(features, row_invariant=one_shot)
         return (
             {intent: universal_repr.copy() for intent in self.intents},
             {intent: universal_proba.copy() for intent in self.intents},
@@ -322,25 +320,21 @@ class InParallelSolver(BaseSolver):
             for intent, matcher in self.matchers.items()
         }
 
-    def representations(self, candidates: CandidateSet) -> dict[str, np.ndarray]:
-        """Per-intent latent pair representations (graph node initializations)."""
-        self._require_fitted()
-        features = self.encode(candidates)
-        return {
-            intent: matcher.representations(features)
-            for intent, matcher in self.matchers.items()
-        }
-
     def intent_outputs(
-        self, candidates: CandidateSet
+        self, candidates: CandidateSet, one_shot: bool = False
     ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
-        """Representations and likelihoods from one encode + forward per intent."""
+        """Per-intent representations (graph node initializations) and likelihoods.
+
+        One encode, then one forward pass through each intent's matcher.
+        """
         self._require_fitted()
-        features = self.encode(candidates)
+        features = self.encode(candidates, one_shot)
         representations: dict[str, np.ndarray] = {}
         probabilities: dict[str, np.ndarray] = {}
         for intent, matcher in self.matchers.items():
-            representations[intent], probabilities[intent] = matcher.outputs(features)
+            representations[intent], probabilities[intent] = matcher.outputs(
+                features, row_invariant=one_shot
+            )
         return representations, probabilities
 
 
@@ -392,11 +386,14 @@ class MultiLabelSolver(BaseSolver):
         matrix = self.matcher.predict_proba(features)
         return {intent: matrix[:, index] for index, intent in enumerate(self.intents)}
 
-    def representations(self, candidates: CandidateSet) -> dict[str, np.ndarray]:
-        """Per-intent latent representations from the multi-task network."""
+    def intent_outputs(
+        self, candidates: CandidateSet, one_shot: bool = False
+    ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
+        """Representations and likelihoods from one encode + forward pass."""
         self._require_fitted()
-        features = self.encode(candidates)
-        return {
-            intent: self.matcher.representations(features, intent)
-            for intent in self.intents
-        }
+        features = self.encode(candidates, one_shot)
+        representations, matrix = self.matcher.outputs(features, row_invariant=one_shot)
+        return (
+            dict(zip(self.intents, representations)),
+            {intent: matrix[:, index] for index, intent in enumerate(self.intents)},
+        )

@@ -33,8 +33,10 @@ Two query modes trade parity for latency:
     Frozen inference: only the new pairs are encoded, the new graph
     nodes attach to their nearest corpus neighbours (corpus topology
     unchanged), and the persisted GraphSAGE weights propagate messages
-    through the touched subgraph only.  Per-pair independent, so
-    micro-batches shard bit-identically across executors
+    through the touched subgraph only.  A micro-batch runs as one
+    stacked pass whose products are row-invariant, so each pair's
+    result equals querying it alone and micro-batches shard
+    bit-identically across executors
     (:func:`repro.exec.query_records_sharded`).
 """
 
@@ -1289,19 +1291,22 @@ class QuerySession:
     ) -> dict[str, np.ndarray]:
         """Frozen inference over the touched subgraph only.
 
-        Each new pair is encoded with the fitted matchers, its per-layer
-        nodes attach to their ``k_neighbors`` nearest corpus nodes
-        (corpus topology unchanged — corpus hidden states stay exactly
-        as persisted), and the stored GraphSAGE weights propagate
-        messages through the touched subgraph alone.
+        The new pairs are encoded with the fitted matchers, their
+        per-layer nodes attach to their ``k_neighbors`` nearest corpus
+        nodes (corpus topology unchanged — corpus hidden states stay
+        exactly as persisted), and the stored GraphSAGE weights
+        propagate messages through the touched subgraph alone.
 
-        Every pair is computed *independently* — one encode, one kNN
-        probe, and one tiny per-pair forward — so a record's prediction
-        does not depend on what else is in the micro-batch (BLAS matmul
-        results vary in the last bit with batch row counts).  This is
-        what makes repeated queries reproducible and sharded batches
-        (:func:`repro.exec.query_records_sharded`) bit-identical to
-        serial ones.
+        The whole micro-batch runs in one pass over ``(B, P, d)`` stacks
+        of its B pairs' P layer nodes: one representation call, one kNN
+        probe per layer, and per target intent one frozen convolution
+        per level plus the head.  Every dense product runs one pair at a
+        time (``one_shot`` representations, ``row_invariant`` probes;
+        :class:`~repro.graph.sage.FrozenSAGE` multiplies stacks block by
+        block), so a pair's result is bit-identical to querying it
+        alone, whatever else is in the batch.  This is what makes
+        repeated queries reproducible and sharded or coalesced batches
+        bit-identical to serial ones.
         """
         model = self.model
         config = model.config
@@ -1313,64 +1318,56 @@ class QuerySession:
         mean_aggregation = config.gnn.aggregator == "mean"
         corpus_features = np.asarray(model.graph_payload["features"], dtype=np.float64)
 
-        probabilities: dict[str, np.ndarray] = {
-            intent: np.zeros(num_query, dtype=np.float64) for intent in requested
-        }
-        for row in range(num_query):
-            pair_set = query_candidates.subset([row])
-            features = compute_representations(
-                model.solver, pair_set, model.augment_with_scores
-            )
-            # One (P, d) hidden block per pair: row ℓ is the pair's node
-            # in layer ℓ.
-            hidden0 = np.stack(
+        features = compute_representations(
+            model.solver,
+            query_candidates,
+            model.augment_with_scores,
+            one_shot=True,
+        )
+        # (B, P, d): row ℓ of pair b's block is its node in layer ℓ.
+        hidden0 = np.stack([features[intent] for intent in model.intents], axis=1)
+        if k_graph > 0:
+            neighbors = np.stack(
                 [
-                    np.asarray(features[intent][0], dtype=np.float64)
-                    for intent in model.intents
-                ]
+                    layer * num_corpus
+                    + self._layer_index(intent)
+                    .search(hidden0[:, layer], k_graph, row_invariant=True)
+                    .indices
+                    for layer, intent in enumerate(model.intents)
+                ],
+                axis=1,
             )
-            if k_graph > 0:
-                neighbors = np.stack(
-                    [
-                        layer * num_corpus
-                        + self._layer_index(intent)
-                        .search(hidden0[layer : layer + 1], k_graph)
-                        .indices[0]
-                        for layer, intent in enumerate(model.intents)
-                    ]
-                )
-            else:
-                neighbors = np.zeros((num_layers, 0), dtype=np.int64)
-            degree = neighbors.shape[1] + (num_layers - 1 if inter else 0)
+        else:
+            neighbors = np.zeros((num_query, num_layers, 0), dtype=np.int64)
+        degree = neighbors.shape[2] + (num_layers - 1 if inter else 0)
 
-            for target in requested:
-                frozen = self._frozen_sage(target)
-                corpus_levels = [corpus_features] + list(model.gnn_hiddens[target])
-                if len(corpus_levels) < frozen.num_convolutions:
-                    raise ModelError(
-                        f"model stores {len(corpus_levels) - 1} hidden levels for "
-                        f"intent {target!r} but its GNN has "
-                        f"{frozen.num_convolutions} convolutions"
-                    )
-                hidden = hidden0
-                for level in range(frozen.num_convolutions):
-                    if degree > 0:
-                        aggregated = np.zeros_like(hidden)
-                        if neighbors.shape[1] > 0:
-                            aggregated += corpus_levels[level][neighbors].sum(axis=1)
-                        if inter:
-                            aggregated += hidden.sum(axis=0) - hidden
-                        # Match the trained aggregation semantics: "sum"
-                        # models saw unnormalized neighbourhood sums.
-                        if mean_aggregation:
-                            aggregated /= degree
-                    else:
-                        aggregated = np.zeros_like(hidden)
-                    hidden = frozen.convolve(level, hidden, aggregated)
-                target_layer = model.intents.index(target)
-                probabilities[target][row] = frozen.probabilities(
-                    hidden[target_layer : target_layer + 1]
-                )[0]
+        probabilities: dict[str, np.ndarray] = {}
+        for target in requested:
+            frozen = self._frozen_sage(target)
+            corpus_levels = [corpus_features] + list(model.gnn_hiddens[target])
+            if len(corpus_levels) < frozen.num_convolutions:
+                raise ModelError(
+                    f"model stores {len(corpus_levels) - 1} hidden levels for "
+                    f"intent {target!r} but its GNN has "
+                    f"{frozen.num_convolutions} convolutions"
+                )
+            hidden = hidden0
+            for level in range(frozen.num_convolutions):
+                aggregated = np.zeros_like(hidden)
+                if degree > 0:
+                    if neighbors.shape[2] > 0:
+                        aggregated += corpus_levels[level][neighbors].sum(axis=2)
+                    if inter:
+                        aggregated += hidden.sum(axis=1, keepdims=True) - hidden
+                    # Match the trained aggregation semantics: "sum"
+                    # models saw unnormalized neighbourhood sums.
+                    if mean_aggregation:
+                        aggregated /= degree
+                hidden = frozen.convolve(level, hidden, aggregated)
+            target_layer = model.intents.index(target)
+            probabilities[target] = frozen.probabilities(
+                hidden[:, target_layer : target_layer + 1]
+            )[:, 0]
         return probabilities
 
 

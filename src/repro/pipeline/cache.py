@@ -13,7 +13,7 @@ from __future__ import annotations
 import shutil
 from dataclasses import dataclass, field
 from pathlib import Path
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 
 import numpy as np
 
@@ -97,8 +97,19 @@ class ArtifactCache:
 
     # ----------------------------------------------------------------- lookup
 
-    def get(self, stage: str, digest: str) -> Artifact | None:
-        """Return the cached artifact for ``(stage, digest)`` or ``None``."""
+    def get(
+        self,
+        stage: str,
+        digest: str,
+        require: Callable[[Artifact], bool] | None = None,
+    ) -> Artifact | None:
+        """Return the cached artifact for ``(stage, digest)`` or ``None``.
+
+        An artifact failing ``require`` (e.g. one written in an older
+        format) counts as a miss and is discarded, so the caller's
+        recomputed artifact can take its place (:meth:`put` never
+        overwrites a published file).
+        """
         if not self.config.enabled:
             self.stats.misses += 1
             return None
@@ -115,6 +126,9 @@ class ArtifactCache:
                     artifact = Artifact(arrays=arrays, metadata=metadata)
                     if self.config.keep_in_memory:
                         self._memory[key] = artifact
+        if artifact is not None and require is not None and not require(artifact):
+            self.discard(stage, digest)
+            artifact = None
         if artifact is None:
             self.stats.misses += 1
             return None
@@ -142,12 +156,7 @@ class ArtifactCache:
             write_artifact(path, artifact.arrays, artifact.metadata)
 
     def discard(self, stage: str, digest: str) -> None:
-        """Drop one artifact from memory and disk.
-
-        :meth:`put` never overwrites a published file, so a caller that
-        replaces an outdated artifact (e.g. one written in an older
-        format) discards it first.
-        """
+        """Drop one artifact from memory and disk."""
         self._memory.pop((stage, digest), None)
         path = self.artifact_path(stage, digest)
         if path is not None:

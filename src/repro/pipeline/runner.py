@@ -714,18 +714,17 @@ class PipelineRunner:
             key = self._gnn_key(
                 classifier_spec, graph_key, config, intent, train_index, valid_index
             )
-            artifact = self.cache.get(stage, key)
-            state = self._gnn_state_from_artifact(artifact) if artifact is not None else {}
-            if state:
+            artifact = self.cache.get(
+                stage, key, require=lambda found: bool(self._gnn_state_from_artifact(found))
+            )
+            if artifact is not None:
                 outcomes[intent] = (
                     artifact.arrays["probabilities"],
                     float(artifact.arrays["best_validation_f1"][0]),
                     StageEvent(stage, key, STATUS_HIT, artifact.elapsed_seconds),
-                    state,
+                    self._gnn_state_from_artifact(artifact),
                 )
                 continue
-            if artifact is not None:
-                self.cache.discard(stage, key)
             pending.append((intent, stage, key))
         if not pending:
             return outcomes

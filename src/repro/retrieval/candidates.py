@@ -179,8 +179,15 @@ class HashedVectorRetriever(CandidateRetriever):
         self._fitted = False
 
     def _vectorize(self, records: Sequence[Record]) -> np.ndarray:
+        # Texts are looked up but never inserted.  Corpus vectors live in
+        # the index after fit and apply_delta, and queries are new records.
+        # Only an update's upserts recur, hashed once more when the update
+        # retrieves their candidate pairs; that costs less than keeping
+        # every text.
         names = list(self.attributes) if self.attributes is not None else None
-        return self._vectorizer.transform([record.text(names) for record in records])
+        return self._vectorizer.transform(
+            [record.text(names) for record in records], cache_texts=False
+        )
 
     def _register_corpus(self, dataset: Dataset) -> None:
         """Record the corpus id/source layout the index rows map onto."""
@@ -328,11 +335,13 @@ class AnnKnnRetriever(HashedVectorRetriever):
     def retrieve(self, records: Sequence[Record], k: int) -> list[list[str]]:
         """The ``k`` nearest corpus records of each query record.
 
-        Each record is searched *individually*: BLAS matmul results can
-        differ in the last bit with the batch row count, which would
-        make near-tie rankings depend on micro-batch composition.  The
-        per-record search keeps every record's candidates — and hence
-        sharded query batches — bit-identical however the batch is cut.
+        The batch is searched in one row-invariant call: a batched BLAS
+        product can change a row's last bits with the batch's row count,
+        which would make near-tie rankings depend on micro-batch
+        composition, so each row's distances are computed as a one-row
+        search computes them.  Every record's candidates — and hence
+        sharded query batches — stay bit-identical however the batch is
+        cut.
         """
         self._require_fitted()
         if k <= 0:
@@ -351,11 +360,11 @@ class AnnKnnRetriever(HashedVectorRetriever):
         else:
             search_k = k + 1 + len(self._tombstones)
         search_k = max(min(search_k, self._index.num_indexed), 1)
-        candidates: list[list[str]] = []
-        for row, record in enumerate(records):
-            result = self._index.search(queries[row : row + 1], search_k)
-            candidates.append(self._filter_positions(record, result.indices[0].tolist(), k))
-        return candidates
+        ranked = self._index.search(queries, search_k, row_invariant=True).neighbor_lists()
+        return [
+            self._filter_positions(record, positions, k)
+            for record, positions in zip(records, ranked)
+        ]
 
 
 class BlockerRetriever(CandidateRetriever):

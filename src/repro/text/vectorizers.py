@@ -112,7 +112,7 @@ class HashingVectorizer:
                 vector /= norm
         return vector
 
-    def transform(self, texts: Iterable[str]) -> np.ndarray:
+    def transform(self, texts: Iterable[str], cache_texts: bool = True) -> np.ndarray:
         """Encode a sequence of strings into a ``(n, n_features)`` matrix.
 
         The batch is encoded through a CSR-style intermediate — a flat
@@ -121,6 +121,9 @@ class HashingVectorizer:
         Each row is bit-identical to :meth:`transform_one` of the same
         text: bucket contributions are ±1 integers whose float64 sums are
         exact in any order.
+
+        ``cache_texts=False`` still looks texts up in the text cache but
+        inserts none: callers pass it for texts they will not see again.
         """
         texts = list(texts)
         if not texts:
@@ -136,7 +139,8 @@ class HashingVectorizer:
             cached = self._text_cache.get(text)
             if cached is None:
                 cached = self._text_buckets(text)
-                self._text_cache[text] = cached
+                if cache_texts:
+                    self._text_cache[text] = cached
             lengths[row] = cached[0].size
             index_blocks.append(cached[0])
             sign_blocks.append(cached[1])

@@ -158,10 +158,12 @@ def _reanchor_split(split: DatasetSplit, dataset: Dataset, intents) -> DatasetSp
 def _pair_representations(model, dataset: Dataset, pair: RecordPair) -> dict[str, np.ndarray]:
     """Per-intent representation row of one pair, computed in isolation.
 
-    One pair per call mirrors the online query path: BLAS results can
-    differ in the last bit with the batch row count, so per-pair
-    encoding keeps update replay bit-identical regardless of how deltas
-    were batched.
+    BLAS results can differ in the last bit with the batch row count, so
+    one pair per call keeps update replay bit-identical regardless of how
+    deltas were batched.  Update keeps this path rather than the online
+    query's stacked row-invariant pass: a stacked pass over a cycle's
+    new pairs is faster but holds larger temporaries, on a model whose
+    memory already grows with every cycle.
     """
     zeros = {intent: 0 for intent in model.intents}
     pair_set = CandidateSet(

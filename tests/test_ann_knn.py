@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.ann import ExactNearestNeighbors
+from repro.ann.knn import smallest_k
 from repro.exceptions import ConfigurationError
 
 
@@ -108,3 +109,82 @@ class TestExactNearestNeighbors:
             best = distances.min()
             found = ((data[result.indices[row, 0]] - data[row]) ** 2).sum()
             assert found == pytest.approx(best, abs=1e-9)
+
+
+def stable_top_k(distances: np.ndarray, k: int) -> np.ndarray:
+    """The reference selection: a full stable sort of every row."""
+    return np.argsort(distances, axis=1, kind="stable")[:, :k]
+
+
+#: Tie-heavy values: small integers, both zeros, inf and NaN.
+TIE_HEAVY = st.sampled_from([0.0, -0.0, 1.0, 2.0, 3.0, 4.0, np.inf, np.nan])
+
+
+class TestSmallestK:
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_stable_argsort(self, data):
+        rows = data.draw(st.integers(1, 6))
+        columns = data.draw(st.integers(1, 14))
+        distances = data.draw(hnp.arrays(np.float64, (rows, columns), elements=TIE_HEAVY))
+        k = data.draw(st.integers(1, columns + 2))
+        assert np.array_equal(smallest_k(distances, k), stable_top_k(distances, k))
+
+    def test_rows_with_fewer_than_k_finite_values(self):
+        distances = np.array(
+            [
+                [np.nan, 3.0, np.inf, np.nan, 1.0, np.inf],
+                [np.nan, np.nan, np.nan, np.nan, np.nan, 0.0],
+                [np.inf, np.inf, np.inf, 2.0, np.inf, np.inf],
+            ]
+        )
+        for k in range(1, 8):
+            assert np.array_equal(smallest_k(distances, k), stable_top_k(distances, k))
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_chunked_search_equals_stable_sort_of_exact_distances(self, data):
+        """Integer points give exact distances, so every tie is real."""
+        num_points = data.draw(st.integers(2, 20))
+        dim = data.draw(st.integers(1, 3))
+        points = data.draw(
+            hnp.arrays(np.float64, (num_points, dim), elements=st.integers(-2, 2).map(float))
+        )
+        k = data.draw(st.integers(1, num_points + 1))
+        chunk_size = data.draw(st.integers(1, 5))
+        exclude_self = data.draw(st.booleans())
+        row_invariant = data.draw(st.booleans())
+        index = ExactNearestNeighbors(chunk_size=chunk_size).fit(points)
+        result = index.search(points, k, exclude_self=exclude_self, row_invariant=row_invariant)
+        exact = ((points[:, np.newaxis, :] - points[np.newaxis, :, :]) ** 2).sum(axis=2)
+        if exclude_self:
+            np.fill_diagonal(exact, np.inf)
+        effective_k = min(k, num_points - (1 if exclude_self else 0))
+        expected = stable_top_k(exact, effective_k)
+        assert np.array_equal(result.indices, expected)
+        assert np.array_equal(result.distances, np.take_along_axis(exact, expected, axis=1))
+
+
+class TestRowInvariantSearch:
+    @pytest.mark.parametrize("metric", ["l2", "cosine"])
+    @pytest.mark.parametrize("block_entries", [1 << 20, 3 * 300])
+    def test_each_row_equals_its_one_row_search(self, metric, block_entries, monkeypatch):
+        rng = np.random.default_rng(11)
+        index = ExactNearestNeighbors(metric=metric).fit(rng.normal(size=(300, 13)))
+        blocks: list[int] = []
+        distances = index._distances
+
+        def recorded(queries, *args):
+            blocks.append(len(queries))
+            return distances(queries, *args)
+
+        monkeypatch.setattr(index, "_distances", recorded)
+        monkeypatch.setattr(index, "ROW_INVARIANT_BLOCK_ENTRIES", block_entries)
+        queries = rng.normal(size=(40, 13))
+        batch = index.search(queries, 7, row_invariant=True)
+        # No distance block holds more than the budget's entries.
+        assert max(blocks) == min(40, block_entries // 300)
+        for row in range(len(queries)):
+            alone = index.search(queries[row : row + 1], 7)
+            assert batch.indices[row].tobytes() == alone.indices[0].tobytes()
+            assert batch.distances[row].tobytes() == alone.distances[0].tobytes()

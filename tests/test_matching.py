@@ -96,7 +96,7 @@ class TestPairMatcher:
     def test_representation_shape(self, toy_features):
         features, labels = toy_features
         matcher = PairMatcher(FAST_MATCHER).fit(features, labels)
-        representations = matcher.representations(features)
+        representations = matcher.outputs(features)[0]
         assert representations.shape == (features.shape[0], FAST_MATCHER.representation_dim)
 
     def test_threshold_changes_predictions(self, toy_features):
@@ -141,7 +141,7 @@ class TestMultiLabelMatcher:
         matcher = MultiLabelMatcher(("narrow", "broad"), FAST_MATCHER).fit(features, labels)
         narrow = matcher.predict_intent(features, "narrow")
         assert narrow.shape == (features.shape[0],)
-        reps = matcher.representations(features, "broad")
+        reps = matcher.outputs(features)[0][1]
         assert reps.shape == (features.shape[0], FAST_MATCHER.representation_dim)
         with pytest.raises(MatchingError):
             matcher.predict_intent(features, "unknown")
@@ -180,7 +180,7 @@ class TestSolvers:
         solver = InParallelSolver(tiny_benchmark.intents, matcher_config=FAST_MATCHER,
                                   feature_config=FAST_FEATURES)
         solver.fit(split.train)
-        representations = solver.representations(split.test)
+        representations = solver.intent_outputs(split.test)[0]
         shapes = {rep.shape for rep in representations.values()}
         assert shapes == {(len(split.test), FAST_MATCHER.representation_dim)}
         first, second = list(representations.values())[:2]

@@ -97,12 +97,14 @@ class TestFit:
             assert len(arrays) < len(artifact.arrays)
             write_artifact(disk.artifact_path(event.stage, event.key), arrays, artifact.metadata)
 
-        stale = PipelineRunner(cache=ArtifactCache(tmp_path)).fit_model(
-            split, intents, model_config
-        )
+        stale_cache = ArtifactCache(tmp_path)
+        stale = PipelineRunner(cache=stale_cache).fit_model(split, intents, model_config)
         statuses = stale.pipeline.stage_status()
         assert {statuses[event.stage] for event in gnn_events} == {"computed"}
         assert statuses[STAGE_MATCHER_FIT] == "hit"
+        # The discarded artifacts' lookups count as misses, not hits.
+        hit_events = sum(status == "hit" for status in statuses.values())
+        assert stale_cache.stats.hits == hit_events
         assert stale.model.fingerprint() == cold.model.fingerprint()
         # The retrained artifacts replaced the stale ones on disk.
         again = PipelineRunner(cache=ArtifactCache(tmp_path)).fit_model(

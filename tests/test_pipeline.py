@@ -97,8 +97,8 @@ class TestSolverStateRoundtrip:
         restored.load_state_dict(solver.state_dict())
         for intent in intents:
             assert np.array_equal(
-                solver.representations(split.test)[intent],
-                restored.representations(split.test)[intent],
+                solver.intent_outputs(split.test)[0][intent],
+                restored.intent_outputs(split.test)[0][intent],
             )
             assert np.array_equal(
                 solver.predict_proba(split.test)[intent],
@@ -113,8 +113,8 @@ class TestSolverStateRoundtrip:
         restored.load_state_dict(solver.state_dict())
         for intent in intents:
             assert np.array_equal(
-                solver.representations(split.test)[intent],
-                restored.representations(split.test)[intent],
+                solver.intent_outputs(split.test)[0][intent],
+                restored.intent_outputs(split.test)[0][intent],
             )
 
 
