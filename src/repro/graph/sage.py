@@ -8,9 +8,16 @@ last convolution).  Prediction per intent (Eq. 5) feeds the final hidden
 state of a node in the target intent's layer through a fully connected
 layer followed by softmax/argmax.
 
-Aggregation runs over the graph's edge list (scatter-add), so one epoch
-is linear in the number of edges rather than quadratic in the number of
-nodes.
+Aggregation is one product of the hidden states with the graph's
+constant CSR aggregation operator, so one epoch is linear in the number
+of edges rather than quadratic in the number of nodes.
+
+Training runs one forward pass per epoch: the pass after an optimizer
+step validates that step and feeds the next epoch's loss.  This is valid
+only while no GraphSAGE module behaves differently in training and
+evaluation mode (the model holds no dropout).  The first convolution's
+input ``concat(X, A·X)`` never changes during a training, so it is
+computed once.
 """
 
 from __future__ import annotations
@@ -56,6 +63,8 @@ class GraphAggregation:
                 shape=(self.num_nodes, self.num_nodes),
             )
         self._operator = operator
+        # ``(input array, concat(h, AGG(h)))`` of the last constant input.
+        self._constant: tuple[np.ndarray, Tensor] | None = None
 
     @classmethod
     def from_graph(cls, graph: MultiplexGraph, mode: str = "mean") -> "GraphAggregation":
@@ -89,6 +98,21 @@ class GraphAggregation:
         """Aggregate neighbour hidden states into each node's neighbourhood vector."""
         return sparse_matmul(self._operator, hidden)
 
+    def combine(self, hidden: Tensor) -> Tensor:
+        """``concat(h, AGG(h))``: the input of a convolution's linear layer.
+
+        For an input that requires no gradient (the node features entering
+        the first convolution) the result is the same on every pass, so it
+        is computed once and reused for as long as the same array comes
+        in.  The cache lives as long as this operator, which a training
+        builds for itself.
+        """
+        if hidden.requires_grad:
+            return Tensor.concat([hidden, self(hidden)], axis=1)
+        if self._constant is None or self._constant[0] is not hidden.data:
+            self._constant = (hidden.data, Tensor.concat([hidden, self(hidden)], axis=1))
+        return self._constant[1]
+
 
 class SAGEConvolution(Module):
     """A single GraphSAGE convolution: ``h' = act(W · concat(h, AGG(h_N)))``."""
@@ -105,9 +129,7 @@ class SAGEConvolution(Module):
         self.activation = activation
 
     def forward(self, hidden: Tensor, aggregation: GraphAggregation) -> Tensor:
-        neighborhood = aggregation(hidden)
-        combined = Tensor.concat([hidden, neighborhood], axis=1)
-        out = self.linear(combined)
+        out = self.linear(aggregation.combine(hidden))
         return out.relu() if self.activation else out
 
 
@@ -246,6 +268,19 @@ class GNNTrainingResult:
         return self.losses[-1] if self.losses else float("nan")
 
 
+def _supervision(
+    split: str, index: np.ndarray, labels: np.ndarray, num_pairs: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Checked ``(index, labels)`` arrays of one supervision split."""
+    index = np.asarray(index, dtype=np.int64)
+    labels = np.asarray(labels, dtype=np.int64)
+    if index.ndim != 1 or index.shape != labels.shape:
+        raise GraphConstructionError(f"{split}_index and {split}_labels must align")
+    if index.size and (index.min() < 0 or index.max() >= num_pairs):
+        raise GraphConstructionError(f"{split}_index must lie in [0, {num_pairs})")
+    return index, labels
+
+
 def _binary_f1(predictions: np.ndarray, labels: np.ndarray) -> float:
     """F1 of the positive class (used only for model selection here)."""
     true_positive = int(((predictions == 1) & (labels == 1)).sum())
@@ -315,20 +350,22 @@ class IntentNodeClassifier:
         valid_index, valid_labels:
             Optional validation pairs for best-epoch selection.
         """
-        train_index = np.asarray(train_index, dtype=np.int64)
-        train_labels = np.asarray(train_labels, dtype=np.int64)
-        if train_index.shape[0] != train_labels.shape[0]:
-            raise GraphConstructionError("train_index and train_labels must align")
+        train_index, train_labels = _supervision(
+            "train", train_index, train_labels, graph.num_pairs
+        )
         if train_index.size == 0:
             raise GraphConstructionError("training requires at least one labeled pair")
-
+        if (valid_index is None) != (valid_labels is None):
+            raise GraphConstructionError("valid_index and valid_labels must be given together")
         layer_nodes = graph.layer_nodes(target_intent)
         train_nodes = layer_nodes[train_index]
-        valid_nodes = (
-            layer_nodes[np.asarray(valid_index, dtype=np.int64)]
-            if valid_index is not None and len(valid_index) > 0
-            else None
-        )
+        valid_nodes = None
+        if valid_index is not None:
+            valid_index, valid_labels = _supervision(
+                "valid", valid_index, valid_labels, graph.num_pairs
+            )
+            if valid_index.size:
+                valid_nodes = layer_nodes[valid_index]
 
         features = Tensor(graph.features)
         aggregation = GraphAggregation.from_graph(graph, mode=self.config.aggregator)
@@ -337,12 +374,14 @@ class IntentNodeClassifier:
 
         losses: list[float] = []
         best_f1 = -1.0
-        best_state = model.state_dict()
+        best_state: dict[str, np.ndarray] = {}
+        probabilities: np.ndarray | None = None
+        # One forward pass per epoch: no GraphSAGE module depends on
+        # train/eval mode, so the pass after a step is both that epoch's
+        # validation pass and the next epoch's training pass.
+        logits = model(features, aggregation)
         for _ in range(self.config.epochs):
-            model.train()
-            logits = model(features, aggregation)
-            train_logits = logits.index_select(train_nodes)
-            loss = cross_entropy(train_logits, train_labels)
+            loss = cross_entropy(logits.index_select(train_nodes), train_labels)
             if self.config.weight_decay:
                 loss = loss + l2_penalty(list(model.parameters()), self.config.weight_decay)
             optimizer.zero_grad()
@@ -350,27 +389,29 @@ class IntentNodeClassifier:
             optimizer.step()
             losses.append(loss.item())
 
-            if valid_nodes is not None and valid_labels is not None:
-                model.eval()
-                with_probabilities = model(features, aggregation).softmax(axis=1).numpy()
-                valid_predictions = (with_probabilities[valid_nodes, 1] >= 0.5).astype(np.int64)
-                f1 = _binary_f1(valid_predictions, np.asarray(valid_labels, dtype=np.int64))
+            logits = model(features, aggregation)
+            if valid_nodes is not None:
+                epoch_probabilities = logits.softmax(axis=1).numpy()
+                valid_predictions = (epoch_probabilities[valid_nodes, 1] >= 0.5).astype(np.int64)
+                f1 = _binary_f1(valid_predictions, valid_labels)
                 if f1 > best_f1:
                     best_f1 = f1
                     best_state = model.state_dict()
+                    probabilities = epoch_probabilities
 
-        if valid_nodes is not None and valid_labels is not None and best_f1 >= 0:
+        if probabilities is None:
+            probabilities = logits.softmax(axis=1).numpy()
+        else:
+            # The best epoch's softmax is already at hand; its state is
+            # restored so that ``model_state`` returns it.
             model.load_state_dict(best_state)
-
         model.eval()
-        probabilities = model(features, aggregation).softmax(axis=1).numpy()
-        layer_probabilities = probabilities[layer_nodes, 1]
         self._model = model
         self.result = GNNTrainingResult(
             intent=target_intent,
             losses=losses,
             best_validation_f1=max(best_f1, 0.0),
-            probabilities=layer_probabilities,
+            probabilities=probabilities[layer_nodes, 1],
         )
         return self.result
 
@@ -389,14 +430,6 @@ class IntentNodeClassifier:
         if self._model is None:
             raise NotFittedError("fit_predict must be called before model_state")
         return self._model.state_dict()
-
-    def hidden_states(self, graph: MultiplexGraph) -> list[np.ndarray]:
-        """Per-convolution hidden states of the trained model over ``graph``."""
-        if self._model is None:
-            raise NotFittedError("fit_predict must be called before hidden_states")
-        aggregation = GraphAggregation.from_graph(graph, mode=self.config.aggregator)
-        self._model.eval()
-        return self._model.hidden_states(Tensor(graph.features), aggregation)
 
 
 # ----------------------------------------------------------- sharded execution

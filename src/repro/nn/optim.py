@@ -93,18 +93,33 @@ class Adam(Optimizer):
         self._v = [np.zeros_like(p.data) for p in self.parameters]
 
     def step(self) -> None:
-        """Apply one Adam update using the accumulated gradients."""
+        """Apply one Adam update using the accumulated gradients.
+
+        The moments are updated in place and every update is evaluated in
+        the operation order of ``m = β₁·m + (1-β₁)·g``,
+        ``v = β₂·v + ((1-β₂)·g)·g``, ``p -= lr·(m̂ / (√v̂ + ε) + λ·p)``,
+        so each rounding matches the out-of-place formulas.
+        """
         self._step += 1
         beta1, beta2 = self.betas
-        for index, parameter in enumerate(self.parameters):
+        m_correction = 1.0 - beta1**self._step
+        v_correction = 1.0 - beta2**self._step
+        for parameter, m, v in zip(self.parameters, self._m, self._v):
             if parameter.grad is None:
                 continue
             gradient = parameter.grad
-            self._m[index] = beta1 * self._m[index] + (1.0 - beta1) * gradient
-            self._v[index] = beta2 * self._v[index] + (1.0 - beta2) * gradient * gradient
-            m_hat = self._m[index] / (1.0 - beta1**self._step)
-            v_hat = self._v[index] / (1.0 - beta2**self._step)
-            update = m_hat / (np.sqrt(v_hat) + self.eps)
+            m *= beta1
+            m += (1.0 - beta1) * gradient
+            squared = (1.0 - beta2) * gradient
+            squared *= gradient
+            v *= beta2
+            v += squared
+            denominator = v / v_correction
+            np.sqrt(denominator, out=denominator)
+            denominator += self.eps
+            update = m / m_correction
+            update /= denominator
             if self.weight_decay:
-                update = update + self.weight_decay * parameter.data
-            parameter.data = parameter.data - self.lr * update
+                update += self.weight_decay * parameter.data
+            update *= self.lr
+            parameter.data = parameter.data - update

@@ -3,9 +3,9 @@
 Dense aggregation multiplies the node-feature matrix by an ``n × n``
 adjacency operator, which is quadratic in the number of nodes.  The
 multiplex intent graph is sparse — every node has ``k`` intra-layer and
-``|Π| - 1`` inter-layer incoming edges — so aggregation is implemented as
-a scatter-add over the edge list instead, with a matching backward pass
-(gather from the target gradients back to the source nodes).
+``|Π| - 1`` inter-layer incoming edges — so aggregation is a product
+with a CSR operator built from the edge list instead, and the backward
+pass is the product with its transpose.
 """
 
 from __future__ import annotations

@@ -86,13 +86,16 @@ class Tensor:
     def _accumulate(self, gradient: np.ndarray) -> None:
         if not self.requires_grad:
             return
+        # ``gradient`` may be any view broadcastable to the buffer's shape.
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        # The gradient buffer is privately owned (allocated above or by a
-        # copy in ``backward``), so accumulation is in-place — one fused
-        # add instead of an allocation per contribution.  ``gradient``
-        # may be any view broadcastable to the buffer's shape.
-        self.grad += gradient
+            # A first gradient is written as ``0.0 + gradient`` in one pass
+            # into a privately owned buffer.  A plain copy would differ:
+            # it keeps ``-0.0``, which the addition turns into ``+0.0``.
+            self.grad = np.add(gradient, 0.0, out=np.empty_like(self.data))
+        else:
+            # The buffer is owned (allocated above or by a copy in
+            # ``backward``), so later contributions add in place.
+            self.grad += gradient
 
     @staticmethod
     def _lift(value: "Tensor" | ArrayLike) -> "Tensor":
@@ -177,8 +180,12 @@ class Tensor:
 
         def _backward() -> None:
             assert out.grad is not None
-            self._accumulate(out.grad @ other.data.T)
-            other._accumulate(self.data.T @ out.grad)
+            # Only the products whose gradients are kept: a constant
+            # operand (a layer's input features) gets none.
+            if self.requires_grad:
+                self._accumulate(out.grad @ other.data.T)
+            if other.requires_grad:
+                other._accumulate(self.data.T @ out.grad)
 
         out._backward = _backward
         return out

@@ -240,6 +240,44 @@ class TestIntentNodeClassifier:
         with pytest.raises(GraphConstructionError):
             classifier.fit_predict(graph, "target", np.array([]), np.array([]))
 
+    @pytest.mark.parametrize(
+        "supervision",
+        [
+            {"valid_index": np.arange(25, 32), "valid_labels": np.array([1])},
+            {"valid_index": np.arange(25, 32), "valid_labels": np.ones(5, dtype=int)},
+            {"valid_index": np.arange(25, 32)},
+            {"valid_labels": np.ones(7, dtype=int)},
+            {"valid_index": np.array([25, 40]), "valid_labels": np.ones(2, dtype=int)},
+            {"train_index": np.array([0, 1, 99]), "train_labels": np.ones(3, dtype=int)},
+            {"train_index": np.array([0, -1]), "train_labels": np.ones(2, dtype=int)},
+        ],
+        ids=[
+            "one-label-for-seven-valid-pairs",
+            "five-labels-for-seven-valid-pairs",
+            "valid-index-without-labels",
+            "valid-labels-without-index",
+            "valid-index-out-of-range",
+            "train-index-out-of-range",
+            "negative-train-index",
+        ],
+    )
+    def test_rejects_malformed_supervision(self, supervision):
+        graph, labels = self._labeled_graph()
+        supervision = {"train_index": np.arange(0, 25), "train_labels": labels[:25], **supervision}
+        classifier = IntentNodeClassifier(GNNConfig(hidden_dim=8, epochs=2))
+        with pytest.raises(GraphConstructionError):
+            classifier.fit_predict(graph, "target", **supervision)
+
+    def test_empty_validation_split_trains_without_selection(self):
+        graph, labels = self._labeled_graph()
+        config = GNNConfig(hidden_dim=8, epochs=3)
+        plain = IntentNodeClassifier(config).fit_predict(graph, "target", np.arange(25), labels[:25])
+        empty = IntentNodeClassifier(config).fit_predict(
+            graph, "target", np.arange(25), labels[:25], np.array([]), np.array([])
+        )
+        assert empty.best_validation_f1 == 0.0
+        assert empty.probabilities.tobytes() == plain.probabilities.tobytes()
+
     def test_predict_before_fit_raises(self):
         classifier = IntentNodeClassifier(GNNConfig(epochs=2))
         from repro.exceptions import NotFittedError
