@@ -3,11 +3,12 @@
 #
 # Usage: scripts/identity_dumps.sh OUT_DIR
 #
-# Every command trains the matchers for 2 epochs and the GraphSAGE models
-# for 6, long enough that most amazon_mi intents keep an earlier epoch
-# than the last.  The files are byte-reproducible, so a change that must
-# not alter any output is checked by running the script at two commits
-# and comparing the two directories file by file:
+# Every command that fits trains the matchers for 2 epochs and the
+# GraphSAGE models for 6, long enough that most amazon_mi intents keep an
+# earlier epoch than the last (query and update load the saved model and
+# take no training flags).  The files are byte-reproducible, so a change
+# that must not alter any output is checked by running the script at two
+# commits and comparing the two directories file by file:
 #
 #   scripts/identity_dumps.sh /tmp/before   # at the parent commit
 #   scripts/identity_dumps.sh /tmp/after    # at the change
@@ -21,6 +22,9 @@
 #   model.npz, fit_query.npz         fit --save-model and its --dump-query
 #   query_online.npz                 query --dump-result on the saved model
 #   update_query.npz                 an update cycle's --dump-result
+#   scenario_streaming_processes.json
+#                                    the streaming-smoke scenario report
+#                                    under two worker processes
 set -euo pipefail
 
 if [[ $# -ne 1 ]]; then
@@ -51,9 +55,11 @@ pipeline resolve --dataset walmart_amazon --num-pairs 120 --products 10 "${epoch
 
 pipeline fit "${small[@]}" "${epochs[@]}" --save-model "$out/model.npz" \
     --query-holdout 6 --query-k 4 --dump-query "$out/fit_query.npz"
-pipeline query "${small[@]}" "${epochs[@]}" --model "$out/model.npz" \
+pipeline query "${small[@]}" --model "$out/model.npz" \
     --query-holdout 6 --query-k 4 --query-mode online --dump-result "$out/query_online.npz"
-pipeline update "${small[@]}" "${epochs[@]}" --model "$out/model.npz" \
+pipeline update "${small[@]}" --model "$out/model.npz" \
     --query-holdout 6 --upsert 3 --query-k 4 --no-save --dump-result "$out/update_query.npz"
+pipeline scenario --name streaming-smoke --seed 0 --executor processes --workers 2 \
+    --report "$out/scenario_streaming_processes.json"
 
 echo "identity dumps written to $out"

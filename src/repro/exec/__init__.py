@@ -34,7 +34,6 @@ from .plan import Shard, ShardPlan
 from .stages import (
     MERGE_STAGE_PREFIX,
     encode_pairs_sharded,
-    query_records_sharded,
     run_classifier_jobs,
 )
 
@@ -52,6 +51,5 @@ __all__ = [
     "encode_pairs_sharded",
     "executor_spec",
     "make_executor",
-    "query_records_sharded",
     "run_classifier_jobs",
 ]

@@ -8,9 +8,6 @@ computation:
   pair-range shards (row-independent, outputs are vertically stacked);
 * :func:`run_classifier_jobs` — per-intent GNN fit/predict, one task per
   intent, with the multiplex graph shipped as plain arrays;
-* :func:`query_records_sharded` — online model queries over contiguous
-  record shards (each pair's frozen inference depends only on its own
-  records, so shard outputs concatenate bit-identically to one batch);
 * (blocking joins shard per *key group* inside
   :func:`repro.blocking.base.join_blocks`, which owns the co-occurrence
   reduce step.)
@@ -119,90 +116,3 @@ def run_classifier_jobs(
     results = executor.map(_classifier_job_worker, payloads)
     _observe_merge("gnn", 0.0, items=len(jobs))
     return results
-
-
-# ------------------------------------------------------------- model queries
-
-
-def _query_shard_worker(payload):
-    """Run one contiguous record shard through a rebuilt model (executor task)."""
-    # Imported lazily so spawned workers resolve the full package first.
-    from ..model import ResolverModel
-
-    inject("exec.query")
-    arrays, document, records, kwargs = payload
-    model = ResolverModel.from_payload(arrays, {"model": document})
-    session = model.session()
-    return session.query(list(records), mode="online", **kwargs)
-
-
-def query_records_sharded(
-    model,
-    records: Sequence,
-    executor: Executor,
-    intents: Sequence[str] | None = None,
-    k: int = 5,
-    session=None,
-):
-    """Shard an online query micro-batch across ``executor`` workers.
-
-    The model ships as its payload arrays (one copy per shard task) and
-    each worker serves its contiguous record range in ``"online"`` mode.
-    Because each pair's frozen inference is row-invariant (its result
-    does not depend on the rest of its batch), concatenating the shard
-    outputs in plan order is bit-identical to one unsharded
-    ``model.query(records, mode="online")`` call — which is exactly what
-    a serial (or empty) executor falls back to.
-
-    ``session`` optionally names the :class:`~repro.model.QuerySession`
-    to validate with and to serve the serial fallback from, so callers
-    that pool sessions (the :mod:`repro.serve` layer) reuse their warm
-    per-session state instead of the model's default session.
-    """
-    from ..model import QueryResult
-
-    records = list(records)
-    if not executor.is_parallel or len(records) < 2:
-        if session is not None:
-            return session.query(records, intents=intents, k=k, mode="online")
-        return model.query(records, intents=intents, k=k, mode="online")
-    # Validate the whole batch up front — per-shard validation cannot see
-    # cross-shard duplicates, and the serial fallback above would reject
-    # them, so error behaviour must not depend on the executor.
-    (session if session is not None else model.session()).validate(records, intents)
-    start = time.perf_counter()
-    arrays = model.payload_arrays()
-    document = model._document()
-    kwargs = {"intents": tuple(intents) if intents is not None else None, "k": k}
-    plan = ShardPlan.contiguous(len(records), executor.workers)
-    payloads = [
-        (arrays, document, tuple(shard_records), kwargs)
-        for shard_records in plan.take(records)
-    ]
-    results = executor.map(_query_shard_worker, payloads)
-    merge_start = time.perf_counter()
-    merged_intents = results[0].intents
-    merged = QueryResult(
-        pairs=[pair for result in results for pair in result.pairs],
-        record_ids=tuple(
-            record_id for result in results for record_id in result.record_ids
-        ),
-        intents=merged_intents,
-        probabilities={
-            intent: np.concatenate([result.probabilities[intent] for result in results])
-            for intent in merged_intents
-        },
-        predictions={
-            intent: np.concatenate([result.predictions[intent] for result in results])
-            for intent in merged_intents
-        },
-        candidates_per_record={
-            record_id: ids
-            for result in results
-            for record_id, ids in result.candidates_per_record.items()
-        },
-        mode="online",
-        elapsed_seconds=time.perf_counter() - start,
-    )
-    _observe_merge("query", time.perf_counter() - merge_start, items=len(records))
-    return merged

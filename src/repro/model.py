@@ -35,14 +35,13 @@ Two query modes trade parity for latency:
     unchanged), and the persisted GraphSAGE weights propagate messages
     through the touched subgraph only.  A micro-batch runs as one
     stacked pass whose products are row-invariant, so each pair's
-    result equals querying it alone and micro-batches shard
-    bit-identically across executors
-    (:func:`repro.exec.query_records_sharded`).
+    result equals querying it alone, whatever else is in its batch.
 """
 
 from __future__ import annotations
 
 import json
+import numbers
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -809,9 +808,9 @@ class ResolverModel:
 
     # ------------------------------------------------------------------ query
 
-    def session(self, executor: object = None) -> "QuerySession":
+    def session(self) -> "QuerySession":
         """A reusable query session (shared caches across micro-batches)."""
-        return QuerySession(self, executor=executor)
+        return QuerySession(self)
 
     def query(
         self,
@@ -819,7 +818,6 @@ class ResolverModel:
         intents: Sequence[str] | None = None,
         k: int = 5,
         mode: str = "exact",
-        executor: object = None,
     ) -> QueryResult:
         """Resolve new ``records`` against the fitted corpus.
 
@@ -829,9 +827,7 @@ class ResolverModel:
         """
         if self._default_session is None:
             self._default_session = self.session()
-        return self._default_session.query(
-            records, intents=intents, k=k, mode=mode, executor=executor
-        )
+        return self._default_session.query(records, intents=intents, k=k, mode=mode)
 
     # ----------------------------------------------------------------- update
 
@@ -972,11 +968,6 @@ class QuerySession:
     ----------
     model:
         The fitted model to serve.
-    executor:
-        Optional :mod:`repro.exec` executor (or registry spec) used to
-        shard the *stages* of exact-mode replays.  Online micro-batches
-        shard across records instead — see
-        :func:`repro.exec.query_records_sharded`.
     """
 
     #: In-memory artifact bound of the exact-mode replay cache.  Each
@@ -987,9 +978,8 @@ class QuerySession:
     #: bound.
     EXACT_CACHE_MAX_ARTIFACTS = 64
 
-    def __init__(self, model: ResolverModel, executor: object = None) -> None:
+    def __init__(self, model: ResolverModel) -> None:
         self.model = model
-        self._executor = executor
         self._runner: PipelineRunner | None = None
         self._layer_indexes: dict[str, ExactNearestNeighbors] = {}
         self._frozen: dict[str, FrozenSAGE] = {}
@@ -1021,7 +1011,7 @@ class QuerySession:
                 cache=ArtifactCache(),
                 augment_with_scores=model.augment_with_scores,
                 feature_config=model.feature_config,
-                executor=self._executor if self._executor is not None else "serial",
+                executor="serial",
             )
             runner.seed_matcher_artifact(
                 model.split.train,
@@ -1048,17 +1038,19 @@ class QuerySession:
         return frozen
 
     def validate(
-        self, records: Sequence[Record], intents: Sequence[str] | None = None
+        self,
+        records: Sequence[Record],
+        intents: Sequence[str] | None = None,
+        k: int = 5,
     ) -> list[Record]:
         """Validate a query batch without running it.
 
-        Used by :func:`repro.exec.query_records_sharded` so an invalid
-        batch fails identically whether it is served serially or
-        sharded (per-shard validation cannot see cross-shard
-        duplicates).
+        Raises what :meth:`query` raises for the same arguments, so a
+        server can reject a bad request before admitting it to a batch.
         """
         records = self._validate_records(records)
         self._resolve_intents(intents)
+        self._validate_k(k)
         return records
 
     def _validate_records(self, records: Sequence[Record]) -> list[Record]:
@@ -1080,6 +1072,12 @@ class QuerySession:
                 )
             seen.add(record.record_id)
         return records
+
+    @staticmethod
+    def _validate_k(k: object) -> None:
+        # bool is an Integral too; floats and strings are never truncated.
+        if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
+            raise QueryError(f"k must be an integer >= 1, got {k!r}")
 
     def _resolve_intents(self, intents: Sequence[str] | None) -> tuple[str, ...]:
         if intents is None:
@@ -1171,7 +1169,6 @@ class QuerySession:
         intents: Sequence[str] | None = None,
         k: int = 5,
         mode: str = "exact",
-        executor: object = None,
     ) -> QueryResult:
         """Resolve a micro-batch of new records against the corpus.
 
@@ -1182,16 +1179,12 @@ class QuerySession:
         intents:
             Intents to predict; defaults to every model intent.
         k:
-            Candidate corpus records retrieved per query record.
+            Candidate corpus records retrieved per query record: an
+            integer >= 1, else :class:`~repro.exceptions.QueryError`.
         mode:
             ``"exact"`` (transductive replay, bit-identical to a full
             re-run including these pairs) or ``"online"`` (frozen-GNN
             incremental inference over the touched subgraph).
-        executor:
-            Online-mode only: a parallel executor shards the records
-            into micro-shards via
-            :func:`repro.exec.query_records_sharded` (bit-identical to
-            the serial call).
         """
         if mode not in ("exact", "online"):
             raise QueryError(f"unknown query mode: {mode!r}")
@@ -1199,12 +1192,7 @@ class QuerySession:
         self._sync_generation()
         records = self._validate_records(records)
         requested = self._resolve_intents(intents)
-        if executor is not None and mode == "online":
-            from .exec import query_records_sharded
-
-            return query_records_sharded(
-                self.model, records, executor, intents=intents, k=k
-            )
+        self._validate_k(k)
         pairs, per_record = self._retrieve(records, k)
         if not pairs:
             return self._empty_result(records, requested, per_record, mode, start)
@@ -1305,7 +1293,7 @@ class QuerySession:
         :class:`~repro.graph.sage.FrozenSAGE` multiplies stacks block by
         block), so a pair's result is bit-identical to querying it
         alone, whatever else is in the batch.  This is what makes
-        repeated queries reproducible and sharded or coalesced batches
+        repeated queries reproducible and coalesced batches
         bit-identical to serial ones.
         """
         model = self.model

@@ -49,7 +49,7 @@ from ..config import CacheConfig, FlexERConfig, GNNConfig, GraphConfig, MatcherC
 from ..data.serialization import write_artifact
 from ..datasets import BENCHMARK_LABELERS, benchmark_names, load_benchmark
 from ..evaluation import evaluate_binary, format_table
-from ..exec import executor_spec, make_executor
+from ..exec import executor_spec
 from ..resolver import Resolver, ResolverResult
 from .batch import BatchRunner, k_sweep
 from .cache import ArtifactCache
@@ -59,7 +59,8 @@ from .runner import PipelineResult, PipelineRunner
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
 
-def _add_common_options(parser: argparse.ArgumentParser) -> None:
+def _add_data_options(parser: argparse.ArgumentParser) -> None:
+    """The synthetic benchmark a subcommand generates its records from."""
     parser.add_argument(
         "--dataset",
         default="amazon_mi",
@@ -69,6 +70,10 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--num-pairs", type=int, default=240, help="candidate pairs")
     parser.add_argument("--products", type=int, default=20, help="products per domain")
     parser.add_argument("--seed", type=int, default=42, help="generator + model seed")
+
+
+def _add_fit_options(parser: argparse.ArgumentParser) -> None:
+    """How a subcommand that fits models trains and shards them."""
     parser.add_argument("--matcher-epochs", type=int, default=10, help="matcher epochs")
     parser.add_argument("--gnn-epochs", type=int, default=40, help="GraphSAGE epochs")
     parser.add_argument(
@@ -89,6 +94,10 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
         default=None,
         help="parallel workers for --executor threads/processes (default: all CPUs)",
     )
+
+
+def _add_cache_options(parser: argparse.ArgumentParser) -> None:
+    """Where a subcommand's pipeline runs cache their stage artifacts."""
     parser.add_argument(
         "--cache-dir",
         default=os.environ.get(CACHE_DIR_ENV),
@@ -108,7 +117,9 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     run = commands.add_parser("run", help="run the staged pipeline once")
-    _add_common_options(run)
+    _add_data_options(run)
+    _add_fit_options(run)
+    _add_cache_options(run)
     run.add_argument("--k", type=int, default=6, help="intra-layer kNN neighbours")
     run.add_argument(
         "--intent-subset",
@@ -125,7 +136,9 @@ def build_parser() -> argparse.ArgumentParser:
         "resolve",
         help="end-to-end raw-records resolution: blocking → labeling → staged FlexER",
     )
-    _add_common_options(resolve)
+    _add_data_options(resolve)
+    _add_fit_options(resolve)
+    _add_cache_options(resolve)
     resolve.add_argument("--k", type=int, default=6, help="intra-layer kNN neighbours")
     resolve.add_argument(
         "--blocker",
@@ -159,7 +172,9 @@ def build_parser() -> argparse.ArgumentParser:
         "fit",
         help="fit on raw benchmark records and persist a ResolverModel artifact",
     )
-    _add_common_options(fit)
+    _add_data_options(fit)
+    _add_fit_options(fit)
+    _add_cache_options(fit)
     fit.add_argument("--k", type=int, default=6, help="intra-layer kNN neighbours")
     fit.add_argument(
         "--blocker",
@@ -206,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
         "query",
         help="load a persisted ResolverModel and resolve held-out records online",
     )
-    _add_common_options(query)
+    _add_data_options(query)
     query.add_argument(
         "--model",
         required=True,
@@ -233,7 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
         "update",
         help="absorb corpus upserts/deletes into a persisted ResolverModel without refit",
     )
-    _add_common_options(update)
+    _add_data_options(update)
+    _add_cache_options(update)
     update.add_argument(
         "--model",
         required=True,
@@ -296,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
         "retrieval-eval",
         help="score a persisted model's candidate retriever against the exact oracle",
     )
-    _add_common_options(retrieval_eval)
+    _add_data_options(retrieval_eval)
     retrieval_eval.add_argument(
         "--model",
         required=True,
@@ -339,7 +355,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = commands.add_parser(
         "sweep-k", help="sweep intra-layer k through the BatchRunner (Table 8)"
     )
-    _add_common_options(sweep)
+    _add_data_options(sweep)
+    _add_fit_options(sweep)
+    _add_cache_options(sweep)
     sweep.add_argument(
         "--k-values",
         default="0,2,4,6,8,10",
@@ -777,13 +795,7 @@ def _command_query(args: argparse.Namespace) -> int:
     if not holdout_records:
         raise SystemExit("query requires --query-holdout > 0")
     model = ResolverModel.load(args.model, mmap=args.mmap)
-    executor = None
-    if args.executor != "serial" and args.query_mode == "online":
-        # Online micro-batches shard bit-identically across records.
-        executor = make_executor(executor_spec(args.executor, args.workers))
-    result = model.query(
-        holdout_records, k=args.query_k, mode=args.query_mode, executor=executor
-    )
+    result = model.query(holdout_records, k=args.query_k, mode=args.query_mode)
     _print_query_result(result)
     if args.dump_result:
         _dump_query_result(result, args.dump_result)
@@ -876,11 +888,9 @@ def _command_retrieval_eval(args: argparse.Namespace) -> int:
 
 def _command_update(args: argparse.Namespace) -> int:
     """Absorb held-out records (and deletes) into a persisted model."""
-    from ..data.pairs import CandidateSet
-    from ..data.records import Dataset
-    from ..data.splits import DatasetSplit
     from ..datasets import stream_chunks
     from ..model import ResolverModel
+    from ..update import refit_live_corpus
 
     benchmark = load_benchmark(
         args.dataset,
@@ -981,36 +991,7 @@ def _command_update(args: argparse.Namespace) -> int:
         # The strict contract: a fresh fit on the union corpus — same
         # supervision pairs, re-anchored over the live records — must
         # answer exact-mode queries byte-identically.
-        live = Dataset(
-            records=[
-                record
-                for record in model.corpus
-                if record.record_id not in model.tombstones
-            ],
-            name=model.corpus.name,
-            attributes=model.corpus.attributes,
-        )
-
-        def reanchor(part):
-            """Re-anchor a split part's pairs over the union corpus."""
-            return CandidateSet(live, pairs=list(part), intents=model.intents)
-
-        fresh_split = DatasetSplit(
-            train=reanchor(model.split.train),
-            valid=reanchor(model.split.valid),
-            test=reanchor(model.split.test),
-        )
-        runner = PipelineRunner(
-            cache=_make_cache(args),
-            augment_with_scores=model.augment_with_scores,
-            feature_config=model.feature_config,
-        )
-        fresh = runner.fit_model(
-            fresh_split,
-            model.intents,
-            config=model.config,
-            retriever=model.retriever_spec,
-        ).model
+        fresh = refit_live_corpus(model, cache=_make_cache(args))
         parity = fresh.query(probes, k=args.query_k, mode=args.query_mode)
         _dump_query_result(parity, args.parity_dump)
         print(f"fresh-fit parity artifact written to {args.parity_dump}")

@@ -26,7 +26,7 @@ import numpy as np
 from ..config import FlexERConfig, GNNConfig, GraphConfig, MatcherConfig
 from ..evaluation import evaluate_binary
 from ..exceptions import ScenarioError
-from ..exec import executor_spec, make_executor
+from ..exec import executor_spec
 
 #: Quality floats are rounded to this many digits in matrix rows — far
 #: above measurement noise, and it keeps report diffs readable.
@@ -122,22 +122,6 @@ def query_quality(
         "macro_f1": macro,
         "num_pairs": len(result.pairs),
     }
-
-
-def scenario_executor(executor: object):
-    """Build the online-query executor object for a scenario run.
-
-    ``None`` and ``"serial"`` mean in-process serial execution (no
-    executor object); anything else is resolved through the executor
-    registry.  Executors never change results — this only affects the
-    timings section.
-    """
-    if executor is None:
-        return None
-    spec = executor_spec(executor)
-    if spec["type"] == "serial":
-        return None
-    return make_executor(spec)
 
 
 @contextmanager

@@ -26,7 +26,7 @@ queries byte-identically to the incrementally updated model.
 from __future__ import annotations
 
 import time
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -40,7 +40,6 @@ from .base import (
     make_scenario_config,
     query_quality,
     require,
-    scenario_executor,
     split_tail,
     timed,
 )
@@ -91,43 +90,17 @@ def timestamped_chunks(
 def assert_exact_parity(model, probes: Sequence[Record], query_k: int) -> dict[str, object]:
     """Assert the updated model's exact-mode parity with a fresh union fit.
 
-    Re-anchors the model's supervision split over the live (union)
-    corpus, fits a fresh model with the same configuration and
-    retriever spec, and compares the exact-mode probe query of both
-    models array-for-array.  Raises
+    Fits a fresh model on the live (union) corpus with the model's
+    supervision, configuration and retriever spec
+    (:func:`~repro.update.refit_live_corpus`), and compares the
+    exact-mode probe query of both models array-for-array.  Raises
     :class:`~repro.exceptions.ScenarioError` on any mismatch; returns
     the deterministic parity summary otherwise.
     """
-    from ..data.pairs import CandidateSet
-    from ..data.splits import DatasetSplit
-    from ..pipeline import PipelineRunner
+    from ..update import refit_live_corpus
 
     updated = model.query(probes, k=query_k, mode="exact")
-
-    live = Dataset(
-        records=[
-            record for record in model.corpus if record.record_id not in model.tombstones
-        ],
-        name=model.corpus.name,
-        attributes=model.corpus.attributes,
-    )
-
-    def reanchor(part):
-        return CandidateSet(live, pairs=list(part), intents=model.intents)
-
-    fresh_split = DatasetSplit(
-        train=reanchor(model.split.train),
-        valid=reanchor(model.split.valid),
-        test=reanchor(model.split.test),
-    )
-    runner = PipelineRunner(
-        augment_with_scores=model.augment_with_scores,
-        feature_config=model.feature_config,
-    )
-    fresh = runner.fit_model(
-        fresh_split, model.intents, config=model.config, retriever=model.retriever_spec
-    ).model
-    fresh_result = fresh.query(probes, k=query_k, mode="exact")
+    fresh_result = refit_live_corpus(model).query(probes, k=query_k, mode="exact")
 
     updated_arrays, updated_meta = updated.as_arrays()
     fresh_arrays, fresh_meta = fresh_result.as_arrays()
@@ -286,7 +259,6 @@ class StreamingScenario(WorkloadScenario):
             executor=executor if executor is not None else "serial",
             blocker=blocker_spec,
         )
-        query_executor = scenario_executor(executor)
 
         timings: dict[str, object] = {}
         resolver = Resolver(config=config)
@@ -303,7 +275,7 @@ class StreamingScenario(WorkloadScenario):
             self.order_stream(benchmark, stream), self.chunk_size
         )
         matrix, cell_timings, qualities = self._replay(
-            model, chunks, probes, products, labeler, benchmark, query_executor
+            model, chunks, probes, products, labeler, benchmark
         )
 
         with timed(timings, "parity_seconds"):
@@ -341,23 +313,11 @@ class StreamingScenario(WorkloadScenario):
             timings=timings,
         )
 
-    def _replay(
-        self,
-        model,
-        chunks,
-        probes: list[Record],
-        products,
-        labeler,
-        benchmark,
-        query_executor,
-        annotate: Callable | None = None,
-    ):
+    def _replay(self, model, chunks, probes: list[Record], products, labeler, benchmark):
         """Replay ``chunks`` through update + probe query; returns rows."""
 
         def probe_quality() -> dict[str, object]:
-            result = model.query(
-                probes, k=self.query_k, mode="online", executor=query_executor
-            )
+            result = model.query(probes, k=self.query_k, mode="online")
             return query_quality(result, products, labeler)
 
         matrix: list[dict[str, object]] = []

@@ -17,6 +17,7 @@ from __future__ import annotations
 import asyncio
 import itertools
 import json
+import numbers
 from collections.abc import Sequence
 
 from ..data.records import Record
@@ -186,7 +187,10 @@ class ServeClient:
         if intents is not None:
             payload["intents"] = list(intents)
         if k is not None:
-            payload["k"] = int(k)
+            # Anything but an integer goes as given, for the server to
+            # reject instead of this client truncating it.
+            integral = isinstance(k, numbers.Integral) and not isinstance(k, bool)
+            payload["k"] = int(k) if integral else k
         if mode is not None:
             payload["mode"] = mode
         if timeout is not None:

@@ -110,6 +110,15 @@ class ModelHealth:
             self._probing = True
             return None
 
+    def release(self) -> None:
+        """An admitted request ended before reaching the backend.
+
+        Frees a half-open probe slot it may hold, so the next request
+        probes instead of the breaker shedding until a restart.
+        """
+        with self._lock:
+            self._probing = False
+
     def record_success(self) -> None:
         """Backend executed a request: close the breaker."""
         with self._lock:

@@ -47,6 +47,7 @@ import numpy as np
 from ..data.records import Record
 from ..exceptions import (
     ConfigurationError,
+    IntentError,
     ModelUnavailableError,
     QueryError,
     QueryTimeoutError,
@@ -353,7 +354,10 @@ class AsyncResolverServer:
             When the deadline passes before the result is ready.
         QueryError
             When the records themselves are invalid (bad schema,
-            duplicate ids within the request, unknown intents).
+            duplicate ids within the request) or ``k`` is not an
+            integer >= 1.
+        IntentError
+            When ``intents`` names an intent the model lacks.
         """
         if not self._running:
             raise ServeError("server is not running (use 'async with' or start())")
@@ -361,7 +365,7 @@ class AsyncResolverServer:
         if not records:
             raise ServeError("query requires at least one record")
         config = self.config
-        k = config.default_k if k is None else int(k)
+        k = config.default_k if k is None else k
         mode = config.default_mode if mode is None else mode
         if mode not in ("online", "exact"):
             raise ServeError(f"unknown query mode {mode!r}")
@@ -399,7 +403,12 @@ class AsyncResolverServer:
         # alone instead of poisoning the batch it would have joined.
         session = entry.session()
         try:
-            records = session.validate(records, intents)
+            records = session.validate(records, intents, k)
+        except (QueryError, IntentError):
+            # Rejected input never reaches the backend, so it says
+            # nothing about the model's health.
+            health.release()
+            raise
         finally:
             entry.release(session)
 

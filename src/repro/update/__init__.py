@@ -28,6 +28,7 @@ from .engine import (
     apply_delta_to_model,
     compact_model,
     corpus_pair_order,
+    refit_live_corpus,
 )
 
 __all__ = [
@@ -44,4 +45,5 @@ __all__ = [
     "corpus_pair_order",
     "fingerprint_segment",
     "read_segment_chain",
+    "refit_live_corpus",
 ]

@@ -438,16 +438,18 @@ def apply_delta_to_model(model, delta: CorpusDelta, pair_k: int | None = None) -
     )
 
 
-def compact_model(model) -> None:
-    """Discard incremental state with a full refit over the live corpus.
+def refit_live_corpus(model, cache=None):
+    """A fresh model fitted on the live corpus with the model's supervision.
 
     Tombstoned records are dropped for real, split pairs referencing
-    them are removed, and the staged pipeline refits the model from
-    scratch (deterministically, through a fresh private cache).  The
-    refitted state replaces the model's in place; update pairs, touched
-    ids, stale-supervision counters, and pending segments are all reset,
-    and the model is marked rebased so the next ``save()`` writes a full
-    artifact instead of appending segments.
+    them are removed, the remaining pairs are re-anchored onto the live
+    records, and the staged pipeline fits a new model from scratch with
+    the model's configuration and retriever spec.  This is both the
+    compaction refit and the oracle of the exact-mode parity contract:
+    an updated model must answer exact queries byte-identically to it.
+
+    ``cache`` is the :class:`~repro.pipeline.cache.ArtifactCache` the
+    fit runs through; ``None`` uses a fresh private in-memory one.
     """
     # Imported lazily: repro.pipeline.runner imports repro.model at
     # start-up, which must not require this module first.
@@ -459,7 +461,7 @@ def compact_model(model) -> None:
         record for record in model.corpus if record.record_id not in tombstones
     ]
     if not live_records:
-        raise UpdateError("compaction would leave an empty corpus")
+        raise UpdateError("a refit would leave an empty corpus")
     dataset = Dataset(
         records=live_records, name=model.corpus.name, attributes=model.corpus.attributes
     )
@@ -480,18 +482,29 @@ def compact_model(model) -> None:
     )
     if len(split.train) == 0 or len(split.test) == 0:
         raise UpdateError(
-            "compaction dropped every train or test pair; the deletes have "
-            "invalidated too much supervision for a refit"
+            "the deletes dropped every train or test pair; too little "
+            "supervision is left for a refit"
         )
     runner = PipelineRunner(
-        cache=ArtifactCache(),
+        cache=cache if cache is not None else ArtifactCache(),
         augment_with_scores=model.augment_with_scores,
         feature_config=model.feature_config,
     )
-    fresh = runner.fit_model(
+    return runner.fit_model(
         split, model.intents, config=model.config, retriever=model.retriever_spec
     ).model
 
+
+def compact_model(model) -> None:
+    """Discard incremental state with a full refit over the live corpus.
+
+    The model's state is replaced in place by :func:`refit_live_corpus`
+    (deterministic, through a fresh private cache); update pairs,
+    touched ids, stale-supervision counters, and pending segments are
+    all reset, and the model is marked rebased so the next ``save()``
+    writes a full artifact instead of appending segments.
+    """
+    fresh = refit_live_corpus(model)
     model.corpus = fresh.corpus
     model.split = fresh.split
     model.solver = fresh.solver

@@ -12,7 +12,6 @@ from repro.data.records import Dataset, Record
 from repro.data.splits import DatasetSplit
 from repro.datasets import BENCHMARK_LABELERS, load_benchmark
 from repro.exceptions import IntentError, ModelError, QueryError
-from repro.exec import make_executor, query_records_sharded
 from repro.matching.solvers import InParallelSolver
 from repro.model import MODEL_SCHEMA_VERSION, QuerySession, ResolverModel
 from repro.pipeline import STAGE_MATCHER_FIT, STAGE_MODEL
@@ -155,6 +154,22 @@ class TestQueryBasics:
             model.query(holdout, intents=["nonexistent"])
         with pytest.raises(QueryError, match="schema"):
             model.query([Record(record_id="zzz-new", values={"alien_column": "x"})])
+
+    @pytest.mark.parametrize("mode", ["online", "exact"])
+    @pytest.mark.parametrize("k", [0, 2.5, "3", True])
+    def test_k_must_be_a_positive_integer(self, model_world, mode, k):
+        """A bad ``k`` is a typed input error, never truncated or coerced."""
+        model, holdout, _ = model_world
+        with pytest.raises(QueryError, match="k must be an integer"):
+            model.query(holdout[:1], k=k, mode=mode)
+        with pytest.raises(QueryError, match="k must be an integer"):
+            model.session().validate(holdout[:1], k=k)
+
+    def test_numpy_integer_k_is_accepted(self, model_world):
+        model, holdout, _ = model_world
+        plain = model.query(holdout[:1], k=2, mode="online")
+        numpy_k = model.query(holdout[:1], k=np.int64(2), mode="online")
+        assert plain.candidates_per_record == numpy_k.candidates_per_record
 
     def test_exact_mode_records_matcher_cache_hit(self, model_world):
         model, holdout, _ = model_world
@@ -324,34 +339,7 @@ class TestPersistence:
             )
 
 
-class TestShardedQueries:
-    @pytest.mark.parametrize("executor_spec", [
-        {"type": "threads", "workers": 2},
-        {"type": "threads", "workers": 3},
-        {"type": "processes", "workers": 2},
-    ])
-    def test_sharded_query_is_bit_identical_to_serial(self, model_world, executor_spec):
-        model, holdout, _ = model_world
-        serial = model.query(holdout, k=3, mode="online")
-        executor = make_executor(executor_spec)
-        sharded = query_records_sharded(model, holdout, executor, k=3)
-        assert [p.as_tuple() for p in serial.pairs] == [
-            p.as_tuple() for p in sharded.pairs
-        ]
-        assert serial.record_ids == sharded.record_ids
-        for intent in serial.intents:
-            assert np.array_equal(
-                serial.probabilities[intent].view(np.uint64),
-                sharded.probabilities[intent].view(np.uint64),
-            ), intent
-
-    def test_sharded_query_validates_the_whole_batch(self, model_world):
-        """Cross-shard duplicates must fail exactly like the serial path."""
-        model, holdout, _ = model_world
-        executor = make_executor({"type": "threads", "workers": 2})
-        with pytest.raises(QueryError, match="duplicate"):
-            query_records_sharded(model, [holdout[0], holdout[0]], executor, k=2)
-
+class TestBatchIndependence:
     def test_online_results_are_batch_independent(self, model_world):
         """Each record's prediction is independent of its micro-batch."""
         model, holdout, _ = model_world
@@ -367,17 +355,6 @@ class TestShardedQueries:
                 assert np.array_equal(
                     batch.probabilities[intent][rows], single.probabilities[intent]
                 )
-
-    def test_query_executor_kwarg_routes_through_sharding(self, model_world):
-        model, holdout, _ = model_world
-        serial = model.query(holdout, k=3, mode="online")
-        sharded = model.query(
-            holdout, k=3, mode="online", executor=make_executor({"type": "threads", "workers": 2})
-        )
-        for intent in serial.intents:
-            assert np.array_equal(
-                serial.probabilities[intent], sharded.probabilities[intent]
-            )
 
 
 class TestQueryResult:

@@ -123,6 +123,32 @@ class TestBatchInvariance:
         served = answers(session.query(records, k=K, mode="online"))
         assert {rid: served[rid] for rid in alone} == alone
 
+    def test_neighbours_ignore_batch_shaped_products(
+        self, models, corpus_world, name, monkeypatch
+    ):
+        """The kNN probe must take the row-invariant products.
+
+        A batched BLAS product may round a row differently with the
+        batch's row count, but such last-bit differences rarely flip a
+        neighbour ranking, so the batched products are made strongly
+        batch-dependent here.  The row-invariant products stay exact.
+        """
+        from repro.ann import knn
+
+        exact_dot = knn._dot
+
+        def batch_dependent_dot(queries, data_t, row_invariant):
+            products = exact_dot(queries, data_t, row_invariant)
+            if row_invariant:
+                return products
+            noise = np.random.default_rng(len(queries)).normal(size=products.shape)
+            return products + noise * np.abs(products).max()
+
+        monkeypatch.setattr(knn, "_dot", batch_dependent_dot)
+        model, session, alone = models[name]
+        served = answers(session.query(corpus_world[1], k=K, mode="online"))
+        assert {rid: served[rid] for rid in alone} == alone
+
     def test_stacked_pass_matches_per_pair_loop(self, models, corpus_world, name):
         model, session, _ = models[name]
         holdout = corpus_world[1]

@@ -347,3 +347,35 @@ class TestArtifactCacheUnit:
         cache.clear()
         assert cache.describe()["disk_artifacts"] == 0
         assert cache.get("stage", "digest") is None
+
+
+class TestCliOptions:
+    """Subcommands that load a saved model accept only the flags they read."""
+
+    FIT_FLAGS = [
+        ["--matcher-epochs", "1"],
+        ["--gnn-epochs", "1"],
+        ["--solver", "naive"],
+    ]
+    EXECUTOR_FLAGS = [["--executor", "processes"], ["--workers", "2"]]
+    CACHE_FLAGS = [["--cache-dir", "cache"], ["--no-cache"]]
+    UNREAD = {
+        "query": FIT_FLAGS + EXECUTOR_FLAGS + CACHE_FLAGS,
+        "update": FIT_FLAGS + EXECUTOR_FLAGS,
+        "retrieval-eval": FIT_FLAGS + EXECUTOR_FLAGS + CACHE_FLAGS,
+    }
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [(command, flag) for command, flags in UNREAD.items() for flag in flags],
+        ids=lambda value: value if isinstance(value, str) else value[0],
+    )
+    def test_unread_flag_is_a_usage_error(self, command, flag, capsys):
+        from repro.pipeline.cli import build_parser, main
+
+        arguments = [command, "--model", "model.npz", "--dataset", "amazon_mi"]
+        build_parser().parse_args(arguments)  # valid without the flag
+        with pytest.raises(SystemExit) as excinfo:
+            main([*arguments, *flag])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -370,6 +370,16 @@ class TestStreamingScenarioRun:
                 "staleness",
             }
 
+    def test_report_content_is_identical_under_the_process_executor(self):
+        serial = build_scenario(TINY_STREAMING).run(seed=0, name="tiny")
+        processes = build_scenario(TINY_STREAMING).run(
+            seed=0, executor={"type": "processes", "workers": 2}, name="tiny"
+        )
+        assert processes.summary["final_exact_parity"] is True
+        assert serial.to_json(include_timings=False) == processes.to_json(
+            include_timings=False
+        )
+
     def test_staleness_chains_quality_deltas(self):
         report = build_scenario(TINY_STREAMING).run(seed=0)
         rows = report.matrix

@@ -23,6 +23,7 @@ from repro.data.records import Dataset, Record
 from repro.datasets import BENCHMARK_LABELERS, load_benchmark
 from repro.exceptions import (
     ConfigurationError,
+    QueryError,
     QueryTimeoutError,
     ReloadError,
     ServeError,
@@ -258,6 +259,60 @@ class TestBackpressure:
             ServeConfig(min_wait_us=5000, max_wait_us=100)
         with pytest.raises(ConfigurationError):
             ServeConfig(max_queue=0)
+
+
+class TestQueryArguments:
+    """A bad ``k`` is one client's input error, never the model's failure."""
+
+    def test_bad_k_never_reaches_the_breaker(self, serve_world):
+        model, holdout, _ = serve_world
+
+        async def fire():
+            server = AsyncResolverServer(model)
+            async with server:
+                # One more than the default breaker threshold of five.
+                for _ in range(6):
+                    with pytest.raises(QueryError, match="k must be an integer"):
+                        await server.query([holdout[0]], k=0)
+                result = await server.query([holdout[0]], k=3)
+                health = server.registry.entry(DEFAULT_MODEL).health.snapshot()
+            return result, health, server.stats
+
+        result, health, stats = run(fire())
+        assert health["consecutive_failures"] == 0
+        assert health["state"] == "closed"
+        assert stats.batches_flushed == 1  # only the valid request ran
+        assert_results_identical(result, serial_results(model, [holdout[0]], k=3)[0])
+
+    @pytest.mark.parametrize("k", [2.7, "abc", True])
+    def test_non_integer_k_is_rejected_not_coerced(self, serve_world, k):
+        model, holdout, _ = serve_world
+
+        async def fire():
+            async with AsyncResolverServer(model) as server:
+                with pytest.raises(QueryError, match="k must be an integer"):
+                    await server.query([holdout[0]], k=k)
+
+        run(fire())
+
+    def test_rejected_half_open_probe_frees_the_probe_slot(self, serve_world):
+        model, holdout, _ = serve_world
+        config = ServeConfig(breaker_failures=1, breaker_reset_seconds=0.05)
+
+        async def fire():
+            async with AsyncResolverServer(model, config) as server:
+                health = server.registry.entry(DEFAULT_MODEL).health
+                health.configure(config.breaker_failures, config.breaker_reset_seconds)
+                health.record_failure()  # a sick backend opened the breaker
+                await asyncio.sleep(0.1)  # cooldown over: the next request probes
+                with pytest.raises(QueryError):
+                    await server.query([holdout[0]], k=0)
+                result = await server.query([holdout[0]], k=3)
+                return result, health.state
+
+        result, state = run(fire())
+        assert state == "closed"
+        assert_results_identical(result, serial_results(model, [holdout[0]], k=3)[0])
 
 
 class TestRegistryAndMmap:
@@ -501,6 +556,46 @@ class TestTcpProtocol:
                 await server.stop()
 
         run(fire())
+
+    def test_bad_k_over_the_wire_is_a_query_error(self, serve_world):
+        model, holdout, _ = serve_world
+        request = {
+            "op": "query",
+            "id": 1,
+            "records": [
+                {
+                    "record_id": holdout[0].record_id,
+                    "values": dict(holdout[0].values),
+                    "source": holdout[0].source,
+                }
+            ],
+            "k": "abc",
+            "mode": "online",
+        }
+
+        async def fire():
+            server = AsyncResolverServer(model)
+            tcp = await server.serve_tcp(host="127.0.0.1", port=0)
+            port = tcp.sockets[0].getsockname()[1]
+            try:
+                reader, writer = await asyncio.open_connection("127.0.0.1", port)
+                writer.write(json.dumps(request).encode() + b"\n")
+                await writer.drain()
+                response = json.loads(await asyncio.wait_for(reader.readline(), 30))
+                writer.close()
+                with contextlib.suppress(Exception):
+                    await writer.wait_closed()
+                # The bundled client sends a float as given, not truncated.
+                async with ServeClient("127.0.0.1", port) as client:
+                    with pytest.raises(QueryError, match="k must be an integer"):
+                        await client.query([holdout[0]], k=2.5)
+            finally:
+                await server.stop()
+            return response
+
+        response = run(fire())
+        assert response["ok"] is False
+        assert response["error"]["type"] == "QueryError"
 
     def test_lines_beyond_default_stream_limit_round_trip(self, serve_world):
         """Request and response lines over 64 KiB must be served, not hang.
