@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from repro.config import FlexERConfig, GNNConfig, GraphConfig, MatcherConfig
-from repro.core import FlexERResult, MIERSolution
+from repro.core import MIERSolution
 from repro.datasets import MIERBenchmark, load_benchmark
 from repro.evaluation import MultiIntentEvaluation, evaluate_solution
 from repro.matching import InParallelSolver, MultiLabelSolver, NaiveSolver, PairFeatureConfig
@@ -116,7 +116,7 @@ class ExperimentStore:
         self._runner: PipelineRunner | None = None
         self._benchmarks: dict[str, MIERBenchmark] = {}
         self._baselines: dict[tuple[str, str], tuple[MIERSolution, MultiIntentEvaluation]] = {}
-        self._flexer_results: dict[tuple, FlexERResult] = {}
+        self._flexer_results: dict[tuple, PipelineResult] = {}
 
     # --------------------------------------------------------------- datasets
 
@@ -208,7 +208,7 @@ class ExperimentStore:
         intent_subset: tuple[str, ...] | None = None,
         target_intents: tuple[str, ...] | None = None,
         k_neighbors: int | None = None,
-    ) -> FlexERResult:
+    ) -> PipelineResult:
         """A FlexER prediction run with optional graph variations.
 
         Routed through the staged pipeline: repeated variations reuse
@@ -219,13 +219,12 @@ class ExperimentStore:
             config = self.settings.flexer_config(
                 k_neighbors=k_neighbors if k_neighbors is not None else 6
             )
-            result = self.pipeline_result(
+            self._flexer_results[key] = self.pipeline_result(
                 dataset,
                 config=config,
                 intent_subset=intent_subset,
                 target_intents=target_intents,
             )
-            self._flexer_results[key] = result.flexer
         return self._flexer_results[key]
 
     def flexer_evaluation(self, dataset: str) -> MultiIntentEvaluation:

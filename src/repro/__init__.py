@@ -67,7 +67,6 @@ from .core import (
     Resolution,
     MIERProblem,
     MIERSolution,
-    FlexERResult,
 )
 from .evaluation import (
     BlockingQuality,
@@ -143,7 +142,6 @@ __all__ = [
     "Resolution",
     "MIERProblem",
     "MIERSolution",
-    "FlexERResult",
     "BlockingQuality",
     "evaluate_binary",
     "evaluate_blocking",

@@ -9,7 +9,6 @@ objects; labeling happens downstream from intent definitions.
 from __future__ import annotations
 
 import abc
-import time
 import warnings
 from dataclasses import dataclass
 from collections.abc import Iterable, Mapping
@@ -19,7 +18,6 @@ import numpy as np
 from ..data.pairs import RecordPair
 from ..data.records import Dataset
 from ..exec.plan import ShardPlan
-from ..exec.stages import _observe_merge
 
 
 class Blocker(abc.ABC):
@@ -235,9 +233,9 @@ def join_blocks(
         if max_block_size is not None and len(members) > max_block_size:
             num_oversized += 1
             # Attributed to this module (default stacklevel): the call
-            # chain varies (block / block_loop / profiled wrappers), so a
-            # fixed caller offset would point somewhere misleading; the
-            # message itself names the offending blocking key.
+            # chain varies (block / block_loop), so a fixed caller offset
+            # would point somewhere misleading; the message itself names
+            # the offending blocking key.
             warnings.warn(
                 f"blocking key {key!r} indexes {len(members)} records "
                 f"(max_block_size={max_block_size}); block skipped",
@@ -276,11 +274,9 @@ def join_blocks(
             )
             payloads.append((shard_ranks, shard_sizes))
         outputs = executor.map(_block_pairs_worker, payloads)
-        start = time.perf_counter()
         left_ranks = np.concatenate([out[0] for out in outputs])
         right_ranks = np.concatenate([out[1] for out in outputs])
         num_block_pairs = int(sum(out[2] for out in outputs))
-        _observe_merge("block-join", time.perf_counter() - start, items=num_block_pairs)
     else:
         left_ranks, right_ranks, num_block_pairs = block_pair_arrays(flat_ranks, sizes)
 

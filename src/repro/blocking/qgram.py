@@ -15,7 +15,6 @@ from collections.abc import Iterable
 from ..data.pairs import RecordPair
 from ..data.records import Dataset
 from ..exceptions import BlockingError
-from ..perf.instrument import profiled
 from ..text.memo import TextMemo
 from .base import Blocker, BlockingStats, join_blocks
 
@@ -89,7 +88,6 @@ class QGramBlocker(Blocker):
                 index[gram].append(record.record_id)
         return index
 
-    @profiled("blocking", items_from=lambda self, dataset: len(dataset))
     def block(self, dataset: Dataset) -> list[RecordPair]:
         """Return the candidate pairs sharing at least ``min_shared`` q-grams.
 

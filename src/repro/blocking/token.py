@@ -14,7 +14,6 @@ from collections.abc import Iterable
 from ..data.pairs import RecordPair
 from ..data.records import Dataset
 from ..exceptions import BlockingError
-from ..perf.instrument import profiled
 from ..text.memo import TextMemo
 from .base import Blocker, BlockingStats, join_blocks
 
@@ -101,7 +100,6 @@ class TokenBlocker(Blocker):
                 index[key].append(record.record_id)
         return index
 
-    @profiled("blocking", items_from=lambda self, dataset: len(dataset))
     def block(self, dataset: Dataset) -> list[RecordPair]:
         """Return candidate pairs sharing at least ``min_shared`` tokens.
 

@@ -5,7 +5,6 @@ from .intents import Intent, IntentSet, IntentRelationships
 from .resolution import Resolution
 from .mier import MIERProblem, MIERSolution
 from .flexer import (
-    FlexERResult,
     FlexERTimings,
     combine_candidate_sets,
     compute_representations,
@@ -19,7 +18,6 @@ __all__ = [
     "MIERProblem",
     "MIERSolution",
     "FlexERConfig",
-    "FlexERResult",
     "FlexERTimings",
     "combine_candidate_sets",
     "compute_representations",

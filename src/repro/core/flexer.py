@@ -17,9 +17,9 @@ FlexER solves MIER in three phases:
 
 This module holds the pieces those phases share:
 :func:`combine_candidate_sets` (the canonical candidate order),
-:func:`compute_representations` (phase 1's output), and the result and
-timing records.  :class:`repro.pipeline.PipelineRunner` runs the phases
-on a split as cached, addressable stages; :func:`repro.fit` and
+:func:`compute_representations` (phase 1's output), and the Table 9
+timing view.  :class:`repro.pipeline.PipelineRunner` runs the phases on
+a split as cached, addressable stages; :func:`repro.fit` and
 :func:`repro.resolve` go through it.
 """
 
@@ -32,9 +32,6 @@ import numpy as np
 
 from ..data.pairs import CandidateSet
 from ..exceptions import MatchingError
-from ..graph.multiplex import MultiplexGraph
-from ..perf.instrument import observe as perf_observe
-from .mier import MIERSolution
 
 
 def combine_candidate_sets(
@@ -92,14 +89,14 @@ def compute_representations(
     }
 
 
-@dataclass
+@dataclass(frozen=True)
 class FlexERTimings:
     """Wall-clock timings of a FlexER run (the Table 9 analysis).
 
-    Every stage timing recorded here is also reported to the active
-    :class:`repro.perf.PerfSession` (when one is active) through
-    :meth:`record_stage`, so profiling a run needs no changes to the
-    pipeline code.
+    A read-only view of a run's stage events: build it from
+    :attr:`repro.pipeline.PipelineResult.timings`.  Each field is the
+    stage's original compute time, also when the run restored the
+    stage's artifact from the cache.
     """
 
     matcher_training_seconds: float = 0.0
@@ -122,25 +119,6 @@ class FlexERTimings:
             + self.gnn_total_seconds
         )
 
-    def record_stage(self, stage: str, seconds: float, intent: str | None = None) -> None:
-        """Record one stage timing and forward it to any active perf session.
-
-        ``stage`` is one of ``"matcher-fit"``, ``"representation"``,
-        ``"graph-build"``, or ``"gnn"`` (the latter with ``intent``).
-        """
-        if stage == "matcher-fit":
-            self.matcher_training_seconds = seconds
-        elif stage == "representation":
-            self.representation_seconds = seconds
-        elif stage == "graph-build":
-            self.graph_build_seconds = seconds
-        elif stage == "gnn":
-            self.gnn_seconds_per_intent[intent or ""] = seconds
-        else:
-            raise ValueError(f"unknown FlexER stage: {stage!r}")
-        name = f"{stage}:{intent}" if intent is not None else stage
-        perf_observe(f"flexer:{name}", seconds)
-
     def as_dict(self) -> dict[str, object]:
         """JSON-serializable stage breakdown (used by ``BENCH_perf.json``)."""
         return {
@@ -151,13 +129,3 @@ class FlexERTimings:
             "gnn_total_seconds": self.gnn_total_seconds,
             "total_seconds": self.total_seconds,
         }
-
-
-@dataclass
-class FlexERResult:
-    """Everything a FlexER run produces: the solution, the graph, timings."""
-
-    solution: MIERSolution
-    graph: MultiplexGraph
-    timings: FlexERTimings
-    validation_f1: dict[str, float] = field(default_factory=dict)

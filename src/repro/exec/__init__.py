@@ -31,17 +31,12 @@ from .executors import (
     make_executor,
 )
 from .plan import Shard, ShardPlan
-from .stages import (
-    MERGE_STAGE_PREFIX,
-    encode_pairs_sharded,
-    run_classifier_jobs,
-)
+from .stages import encode_pairs_sharded, run_classifier_jobs
 
 __all__ = [
     "AUTO_WORKERS",
     "ExecutionError",
     "Executor",
-    "MERGE_STAGE_PREFIX",
     "ProcessExecutor",
     "SerialExecutor",
     "Shard",

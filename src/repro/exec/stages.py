@@ -12,34 +12,19 @@ computation:
   :func:`repro.blocking.base.join_blocks`, which owns the co-occurrence
   reduce step.)
 
-Merge overhead — the wall time spent combining shard outputs back into
-one result — is reported to any active
-:class:`~repro.perf.instrument.PerfSession` under ``exec:merge:<stage>``
-names, so the scaling-curve benchmark can separate parallel compute from
-sequential merge cost.
-
 All worker functions here are module-level and take one picklable
 payload, as required by the process executor.
 """
 
 from __future__ import annotations
 
-import time
 from collections.abc import Sequence
 
 import numpy as np
 
 from ..faults import inject
-from ..perf.instrument import observe
 from .executors import Executor
 from .plan import ShardPlan
-
-#: Stage-name prefix of merge-overhead records in perf sessions.
-MERGE_STAGE_PREFIX = "exec:merge:"
-
-
-def _observe_merge(stage: str, seconds: float, items: int | None = None) -> None:
-    observe(f"{MERGE_STAGE_PREFIX}{stage}", seconds, items=items)
 
 
 # -------------------------------------------------------- pair feature encoding
@@ -74,12 +59,9 @@ def encode_pairs_sharded(
         (feature_config, dataset, tuple(shard_pairs)) for shard_pairs in plan.take(list(pairs))
     ]
     matrices = executor.map(_encode_shard_worker, payloads)
-    start = time.perf_counter()
-    merged = np.vstack(matrices) if matrices else None
-    _observe_merge("encode", time.perf_counter() - start, items=len(pairs))
-    if merged is None:
+    if not matrices:
         raise ValueError("encode_pairs_sharded requires at least one pair")
-    return merged
+    return np.vstack(matrices)
 
 
 # ------------------------------------------------------------ per-intent GNNs
@@ -113,6 +95,4 @@ def run_classifier_jobs(
         return []
     graph_payload = graph.to_payload()
     payloads = [(graph_payload, classifier_spec, gnn_config, job) for job in jobs]
-    results = executor.map(_classifier_job_worker, payloads)
-    _observe_merge("gnn", 0.0, items=len(jobs))
-    return results
+    return executor.map(_classifier_job_worker, payloads)

@@ -23,7 +23,6 @@ import numpy as np
 from ..ann.knn import ExactNearestNeighbors
 from ..config import GraphConfig
 from ..exceptions import GraphConstructionError
-from ..perf.instrument import profiled
 from .multiplex import MultiplexGraph
 
 
@@ -64,7 +63,6 @@ class IntentGraphBuilder:
         """Construct the builder from a spec plus the shared graph config."""
         return cls(config=config, **params)
 
-    @profiled("graph-build")
     def build(
         self,
         representations: Mapping[str, np.ndarray],

@@ -38,7 +38,6 @@ from ..data.serialization import (
     serialize_pair_from_texts,
     serialize_record,
 )
-from ..perf.instrument import profiled
 from ..text.memo import TextMemo
 from ..text.similarity import (
     SIMILARITY_FUNCTIONS,
@@ -149,10 +148,6 @@ class PairFeatureEncoder:
             blocks.append(similarities)
         return np.concatenate(blocks)
 
-    @profiled(
-        "pair-feature-encode",
-        items_from=lambda self, dataset, pairs, one_shot=False: len(pairs),
-    )
     def encode(
         self, dataset: Dataset, pairs: list[RecordPair], one_shot: bool = False
     ) -> np.ndarray:

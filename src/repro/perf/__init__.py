@@ -2,9 +2,10 @@
 
 The subsystem has three parts:
 
-* :mod:`repro.perf.instrument` — wall-clock + RSS instrumentation
-  (:class:`PerfSession`, the :func:`profiled` stage decorator, and the
-  :func:`observe` hook the pipeline timings report through);
+* :mod:`repro.perf.instrument` — wall-clock + RSS records
+  (:class:`PerfSession`, a local list of :class:`StageRecord` entries
+  that the benchmark runner fills with the calls it times and with the
+  pipeline's stage events);
 * :mod:`repro.perf.bench` — the pinned workload matrix executed through
   the staged :class:`~repro.pipeline.PipelineRunner`, kernel-level
   vectorized-vs-loop micro-benchmarks, and the schema-versioned
@@ -12,20 +13,17 @@ The subsystem has three parts:
 * :mod:`repro.perf.cli` — the ``python -m repro.perf`` entry point.
 
 Only the dependency-free instrumentation layer is imported eagerly; the
-benchmark runner (which imports the pipeline) loads lazily so low-level
-modules can use :func:`profiled` without import cycles.
+benchmark runner (which imports the pipeline) loads lazily, so importing
+this package does not import the pipeline.
 """
 
 from __future__ import annotations
 
-from .instrument import PerfSession, StageRecord, active_session, observe, profiled, rss_bytes
+from .instrument import PerfSession, StageRecord, rss_bytes
 
 __all__ = [
     "PerfSession",
     "StageRecord",
-    "active_session",
-    "observe",
-    "profiled",
     "rss_bytes",
     "run_perf_suite",
     "scaling_curve",

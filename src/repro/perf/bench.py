@@ -29,7 +29,7 @@ import numpy as np
 
 from ..blocking import QGramBlocker
 from ..config import FlexERConfig, GNNConfig, GraphConfig, MatcherConfig
-from ..exec import MERGE_STAGE_PREFIX, available_cpus, executor_spec, make_executor
+from ..exec import available_cpus, executor_spec, make_executor
 from ..graph.builder import IntentGraphBuilder
 from ..graph.multiplex import MultiplexGraph
 from ..matching.features import PairFeatureConfig, PairFeatureEncoder
@@ -132,9 +132,11 @@ def _load_benchmark(workload: PerfWorkload):
 def run_workload(workload: PerfWorkload) -> dict[str, object]:
     """Run one workload end-to-end on a cold cache, then a warm re-run.
 
-    Returns the JSON-serializable measurement: per-stage records from the
-    profiling session, the FlexER stage breakdown, end-to-end wall time,
-    candidate-pair throughput, and peak RSS.
+    Returns the JSON-serializable measurement: the ``stages`` records
+    (``blocking-end-to-end``, ``pipeline-cold``, one ``flexer:<stage>``
+    record per stage event of the cold run, ``pipeline-warm``), the
+    FlexER stage breakdown, end-to-end wall time, candidate-pair
+    throughput, and peak RSS.
     """
     benchmark = _load_benchmark(workload)
     config = workload.flexer_config()
@@ -143,15 +145,16 @@ def run_workload(workload: PerfWorkload) -> dict[str, object]:
     session = PerfSession()
     cache = ArtifactCache()
     runner = PipelineRunner(cache=cache)
-    with session.activate():
-        start = time.perf_counter()
-        with session.stage("blocking-end-to-end", items=len(benchmark.dataset)):
-            candidate_pairs = blocker.block(benchmark.dataset)
-        with session.stage("pipeline-cold", items=len(benchmark.candidates)):
-            result = runner.run(benchmark.split, benchmark.intents, config=config)
-        end_to_end = time.perf_counter() - start
-        with session.stage("pipeline-warm", items=len(benchmark.candidates)):
-            warm = runner.run(benchmark.split, benchmark.intents, config=config)
+    start = time.perf_counter()
+    with session.stage("blocking-end-to-end", items=len(benchmark.dataset)):
+        candidate_pairs = blocker.block(benchmark.dataset)
+    with session.stage("pipeline-cold", items=len(benchmark.candidates)):
+        result = runner.run(benchmark.split, benchmark.intents, config=config)
+    end_to_end = time.perf_counter() - start
+    for event in result.events:
+        session.record(f"flexer:{event.stage}", event.elapsed_seconds)
+    with session.stage("pipeline-warm", items=len(benchmark.candidates)):
+        warm = runner.run(benchmark.split, benchmark.intents, config=config)
 
     num_pairs = len(benchmark.candidates)
     return {
@@ -529,9 +532,8 @@ def scaling_curve(
     entries measure pure execution cost.
 
     Each entry reports end-to-end wall time, the per-stage FlexER
-    breakdown, the merge overhead (wall time spent combining shard
-    outputs, from the ``exec:merge:*`` perf records), and speedups
-    relative to the one-worker entry (end-to-end and per stage).
+    breakdown, and speedups relative to the one-worker entry
+    (end-to-end and per stage).
     ``available_cpus`` is recorded alongside: speedups saturate at the
     machine's core count, so a 4-worker entry on a 2-core runner is
     expected to sit near 2x.
@@ -562,34 +564,24 @@ def scaling_curve(
         # entry runs over exactly one worker pool (started outside any
         # per-stage timing but inside the end-to-end window only once).
         runner = PipelineRunner(cache=ArtifactCache(), executor=executor)
-        session = PerfSession()
-        with session.activate():
-            start = time.perf_counter()
-            with session.stage("blocking-end-to-end", items=len(benchmark.dataset)):
-                blocker.block(benchmark.dataset)
-            result = runner.run(benchmark.split, benchmark.intents, config=config)
-            end_to_end = time.perf_counter() - start
-        merge_overhead = float(
-            sum(
-                record.wall_seconds
-                for record in session.records
-                if record.name.startswith(MERGE_STAGE_PREFIX)
-            )
-        )
+        start = time.perf_counter()
+        blocker.block(benchmark.dataset)
+        blocking_seconds = time.perf_counter() - start
+        result = runner.run(benchmark.split, benchmark.intents, config=config)
+        end_to_end = time.perf_counter() - start
         timings = result.timings.as_dict()
         entries.append(
             {
                 "workers": int(workers),
                 "executor": str(spec["type"]),
                 "end_to_end_wall_seconds": end_to_end,
-                "blocking_wall_seconds": session.total_seconds("blocking-end-to-end"),
+                "blocking_wall_seconds": blocking_seconds,
                 "stages": {
                     "matcher-fit": timings["matcher_training_seconds"],
                     "representation": timings["representation_seconds"],
                     "graph-build": timings["graph_build_seconds"],
                     "gnn-total": timings["gnn_total_seconds"],
                 },
-                "merge_overhead_seconds": merge_overhead,
             }
         )
 

@@ -29,6 +29,19 @@ from .bench import (
 )
 
 
+def _counts(text: str) -> tuple[int, ...]:
+    """Parse a comma-separated list of integers >= 1 (an argparse ``type``)."""
+    try:
+        values = tuple(int(part) for part in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}"
+        ) from None
+    if min(values) < 1:
+        raise argparse.ArgumentTypeError(f"expected integers >= 1, got {text!r}")
+    return values
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.perf",
@@ -63,6 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--scaling-workers",
+        type=_counts,
         default="1,2,4",
         help="comma-separated worker counts of the scaling curve (default: %(default)s)",
     )
@@ -91,6 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--retrieval-scale-sizes",
+        type=_counts,
         default=None,
         metavar="SIZES",
         help=(
@@ -186,8 +201,7 @@ def _print_summary(report: dict[str, object]) -> None:
                 speedup_text = f"{speedup:.2f}x" if speedup is not None else "n/a"
                 print(
                     f"        {point['workers']} worker(s): "
-                    f"{point['end_to_end_wall_seconds']:.3f}s ({speedup_text}, "
-                    f"merge {point['merge_overhead_seconds']:.4f}s)"
+                    f"{point['end_to_end_wall_seconds']:.3f}s ({speedup_text})"
                 )
 
 
@@ -240,21 +254,12 @@ def _print_scenarios(section: dict[str, object]) -> None:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    scaling_workers = None
-    if args.scaling:
-        scaling_workers = tuple(
-            int(value) for value in args.scaling_workers.split(",") if value.strip()
-        )
+    scaling_workers = args.scaling_workers if args.scaling else None
     retrieval_scale_sizes = None
     if args.retrieval_scale:
-        if args.retrieval_scale_sizes:
-            retrieval_scale_sizes = tuple(
-                int(value) for value in args.retrieval_scale_sizes.split(",") if value.strip()
-            )
-        else:
-            retrieval_scale_sizes = (
-                RETRIEVAL_SCALE_SMOKE_SIZES if args.smoke else RETRIEVAL_SCALE_SIZES
-            )
+        retrieval_scale_sizes = args.retrieval_scale_sizes or (
+            RETRIEVAL_SCALE_SMOKE_SIZES if args.smoke else RETRIEVAL_SCALE_SIZES
+        )
     scenario_names = None
     if args.scenarios:
         if args.scenarios.strip() == "headline":

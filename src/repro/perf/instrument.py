@@ -1,10 +1,11 @@
 """Timer and memory instrumentation for the performance subsystem.
 
-A :class:`PerfSession` collects :class:`StageRecord` entries — wall-clock
-plus resident-set-size readings — for named stages of a run.  Library hot
-paths are annotated with the :func:`profiled` decorator: when no session
-is active the decorator adds one dictionary lookup of overhead; inside a
-``with PerfSession().activate():`` block every call is timed and recorded.
+A :class:`PerfSession` is a local list of :class:`StageRecord` entries —
+wall-clock plus resident-set-size readings — for named stages of a run.
+Its owner times each stage with :meth:`PerfSession.stage`, or adds one
+already measured elsewhere (such as a pipeline
+:class:`~repro.pipeline.StageEvent`) with :meth:`PerfSession.record`;
+nothing outside the owner writes to it.
 
 The module is dependency-free (stdlib only) so any layer of the library
 can import it without cycles.
@@ -12,20 +13,16 @@ can import it without cycles.
 
 from __future__ import annotations
 
-import functools
 import resource
 import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 
 __all__ = [
     "StageRecord",
     "PerfSession",
-    "active_session",
-    "observe",
-    "profiled",
     "rss_bytes",
 ]
 
@@ -72,7 +69,7 @@ class StageRecord:
 
 @dataclass
 class PerfSession:
-    """A collection of stage records for one profiled run."""
+    """The stage records of one measured run, in recorded order."""
 
     records: list[StageRecord] = field(default_factory=list)
 
@@ -108,15 +105,6 @@ class PerfSession:
                 )
             )
 
-    @contextmanager
-    def activate(self) -> Iterator["PerfSession"]:
-        """Make this session the target of :func:`profiled` hooks."""
-        _SESSIONS.append(self)
-        try:
-            yield self
-        finally:
-            _SESSIONS.remove(self)
-
     def total_seconds(self, name: str | None = None) -> float:
         """Sum of recorded wall seconds, optionally for one stage name."""
         return float(
@@ -130,64 +118,3 @@ class PerfSession:
     def as_dicts(self) -> list[dict[str, object]]:
         """All records as JSON-serializable dictionaries."""
         return [record.as_dict() for record in self.records]
-
-
-#: Stack of active sessions; :func:`profiled` reports to the innermost.
-_SESSIONS: list[PerfSession] = []
-
-
-def active_session() -> PerfSession | None:
-    """The innermost active session, or ``None`` outside any session."""
-    return _SESSIONS[-1] if _SESSIONS else None
-
-
-def observe(name: str, wall_seconds: float, items: int | None = None) -> None:
-    """Report an externally timed stage to the active session (if any).
-
-    This is the hook :class:`~repro.core.flexer.FlexERTimings` and the
-    staged pipeline use to surface their phase timings to a profiling
-    session without depending on this package being active.
-    """
-    session = active_session()
-    if session is not None:
-        session.record(name, wall_seconds, items=items)
-
-
-def profiled(name: str, items_from: Callable[..., int] | None = None):
-    """Decorate a function so active sessions record its calls.
-
-    Parameters
-    ----------
-    name:
-        Stage name under which calls are recorded.
-    items_from:
-        Optional callable receiving the wrapped function's arguments and
-        returning an item count for throughput reporting.
-    """
-
-    def decorate(fn):
-        @functools.wraps(fn)
-        def wrapper(*args, **kwargs):
-            session = active_session()
-            if session is None:
-                return fn(*args, **kwargs)
-            items = items_from(*args, **kwargs) if items_from is not None else None
-            before = rss_bytes()
-            start = time.perf_counter()
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                elapsed = time.perf_counter() - start
-                session.records.append(
-                    StageRecord(
-                        name=name,
-                        wall_seconds=elapsed,
-                        rss_before_bytes=before,
-                        rss_after_bytes=rss_bytes(),
-                        items=items,
-                    )
-                )
-
-        return wrapper
-
-    return decorate

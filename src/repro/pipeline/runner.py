@@ -30,12 +30,7 @@ from collections.abc import Mapping, Sequence
 import numpy as np
 
 from ..config import FlexERConfig
-from ..core.flexer import (
-    FlexERResult,
-    FlexERTimings,
-    combine_candidate_sets,
-    compute_representations,
-)
+from ..core.flexer import FlexERTimings, combine_candidate_sets, compute_representations
 from ..core.mier import MIERSolution
 from ..data.pairs import CandidateSet
 from ..data.splits import DatasetSplit
@@ -86,25 +81,43 @@ class StageEvent:
 
 @dataclass
 class PipelineResult:
-    """Outcome of a staged run: the FlexER result plus stage provenance."""
+    """Outcome of a staged run.
 
-    flexer: FlexERResult
+    Attributes
+    ----------
+    solution:
+        The MIER solution over the test pairs.
+    graph:
+        The multiplex intent graph the run predicted over.
+    events:
+        One :class:`StageEvent` per stage, in run order: the run's only
+        record of where its time went.
+    """
+
+    solution: MIERSolution
+    graph: MultiplexGraph
     events: list[StageEvent] = field(default_factory=list)
 
     @property
-    def solution(self) -> MIERSolution:
-        """The MIER solution over the test pairs."""
-        return self.flexer.solution
-
-    @property
-    def graph(self) -> MultiplexGraph:
-        """The multiplex intent graph the run predicted over."""
-        return self.flexer.graph
-
-    @property
     def timings(self) -> FlexERTimings:
-        """Stage timings (original compute times, cache-hit aware)."""
-        return self.flexer.timings
+        """The Table 9 view of :attr:`events` (original compute times).
+
+        ``model-build`` is not one of FlexER's phases and stays out.
+        """
+        seconds: dict[str, float] = {}
+        gnn_seconds: dict[str, float] = {}
+        for event in self.events:
+            stage, _, intent = event.stage.partition(":")
+            if stage == STAGE_GNN:
+                gnn_seconds[intent] = event.elapsed_seconds
+            else:
+                seconds[stage] = event.elapsed_seconds
+        return FlexERTimings(
+            matcher_training_seconds=seconds.get(STAGE_MATCHER_FIT, 0.0),
+            representation_seconds=seconds.get(STAGE_REPRESENTATION, 0.0),
+            graph_build_seconds=seconds.get(STAGE_GRAPH_BUILD, 0.0),
+            gnn_seconds_per_intent=gnn_seconds,
+        )
 
     def event(self, stage: str) -> StageEvent:
         """The event of ``stage`` (raises ``KeyError`` for unknown stages)."""
@@ -326,16 +339,9 @@ class PipelineRunner:
         )
         events.append(graph_event)
 
-        # Stage 4 — one GNN per target intent.  Timings go through
-        # ``record_stage`` so an active perf session sees the stage
-        # breakdown (original compute times, cache-hit aware).
-        timings = FlexERTimings()
-        timings.record_stage("matcher-fit", matcher_event.elapsed_seconds)
-        timings.record_stage("representation", representation_event.elapsed_seconds)
-        timings.record_stage("graph-build", graph_event.elapsed_seconds)
+        # Stage 4 — one GNN per target intent.
         predictions: dict[str, np.ndarray] = {}
         probabilities: dict[str, np.ndarray] = {}
-        validation_f1: dict[str, float] = {}
         gnn_states: dict[str, dict[str, np.ndarray]] = {}
         gnn_outcomes = self._run_gnn_stage(
             graph,
@@ -349,13 +355,11 @@ class PipelineRunner:
             executor,
         )
         for intent in targets:
-            layer_probabilities, best_f1, gnn_event, state = gnn_outcomes[intent]
+            layer_probabilities, gnn_event, state = gnn_outcomes[intent]
             events.append(gnn_event)
-            timings.record_stage("gnn", gnn_event.elapsed_seconds, intent=intent)
             test_probabilities = layer_probabilities[test_index]
             probabilities[intent] = test_probabilities
             predictions[intent] = (test_probabilities >= 0.5).astype(np.int64)
-            validation_f1[intent] = best_f1
             gnn_states[intent] = state
 
         solution = MIERSolution(
@@ -363,12 +367,6 @@ class PipelineRunner:
             predictions=predictions,
             probabilities=probabilities,
             solver_name=f"FlexER[{solver_spec['type']}]",
-        )
-        flexer = FlexERResult(
-            solution=solution,
-            graph=graph,
-            timings=timings,
-            validation_f1=validation_f1,
         )
         internals: dict[str, object] = {
             "solver": solver,
@@ -378,7 +376,7 @@ class PipelineRunner:
             "layer_intents": layer_intents,
             "targets": targets,
         }
-        return PipelineResult(flexer=flexer, events=events), internals
+        return PipelineResult(solution=solution, graph=graph, events=events), internals
 
     # ------------------------------------------------------------------- fit
 
@@ -689,15 +687,16 @@ class PipelineRunner:
         train_index: np.ndarray,
         valid_index: np.ndarray | None,
         executor: Executor | None,
-    ) -> dict[str, tuple[np.ndarray, float, StageEvent, dict[str, np.ndarray]]]:
+    ) -> dict[str, tuple[np.ndarray, StageEvent, dict[str, np.ndarray]]]:
         """Run (or restore) one GNN per target intent; parallel across intents.
 
         Cache lookups and stores stay in the calling process; only the
         cache-missing trainings fan out — with a parallel executor, one
         task per intent, each shipping the graph payload plus that
         intent's supervision arrays and returning layer probabilities
-        that are bit-identical to the serial training.  Each outcome also
-        carries the trained parameter arrays for model assembly; a cached
+        that are bit-identical to the serial training.  Each outcome is
+        ``(layer_probabilities, event, state)``: the state holds the
+        trained parameter arrays for model assembly; a cached
         artifact without them (written before they were persisted) counts
         as a miss and is replaced by a retrained one.
         """
@@ -707,7 +706,7 @@ class PipelineRunner:
             if valid is not None and valid_index is not None
             else (lambda intent: None)
         )
-        outcomes: dict[str, tuple[np.ndarray, float, StageEvent, dict[str, np.ndarray]]] = {}
+        outcomes: dict[str, tuple[np.ndarray, StageEvent, dict[str, np.ndarray]]] = {}
         pending: list[tuple[str, str, str]] = []
         for intent in targets:
             stage = f"{STAGE_GNN}:{intent}"
@@ -720,7 +719,6 @@ class PipelineRunner:
             if artifact is not None:
                 outcomes[intent] = (
                     artifact.arrays["probabilities"],
-                    float(artifact.arrays["best_validation_f1"][0]),
                     StageEvent(stage, key, STATUS_HIT, artifact.elapsed_seconds),
                     self._gnn_state_from_artifact(artifact),
                 )
@@ -749,7 +747,6 @@ class PipelineRunner:
                 )
                 outcomes[intent] = (
                     layer_probabilities,
-                    best_f1,
                     StageEvent(stage, key, STATUS_COMPUTED, elapsed),
                     state,
                 )
@@ -773,7 +770,6 @@ class PipelineRunner:
             )
             outcomes[intent] = (
                 result.probabilities,
-                result.best_validation_f1,
                 StageEvent(stage, key, STATUS_COMPUTED, elapsed),
                 state,
             )

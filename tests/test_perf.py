@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
 
+from repro.core import FlexERTimings
 from repro.perf import bench as perf_bench
 from repro.perf.bench import (
     REPORT_KIND,
@@ -17,7 +19,18 @@ from repro.perf.bench import (
     write_report,
 )
 from repro.perf.cli import main as perf_main
-from repro.perf.instrument import PerfSession, active_session, observe, profiled, rss_bytes
+from repro.perf.instrument import PerfSession, rss_bytes
+from repro.pipeline import (
+    STAGE_GNN,
+    STAGE_GRAPH_BUILD,
+    STAGE_MATCHER_FIT,
+    STAGE_MODEL,
+    STAGE_REPRESENTATION,
+    STATUS_COMPUTED,
+    STATUS_HIT,
+    PipelineResult,
+    StageEvent,
+)
 
 TINY_WORKLOAD = PerfWorkload(
     name="tiny_unit_test",
@@ -47,77 +60,42 @@ class TestInstrumentation:
         assert record.throughput_items_per_second is not None
         assert record.rss_after_bytes >= record.rss_before_bytes >= 0
 
-    def test_profiled_is_noop_without_session(self):
-        calls = []
-
-        @profiled("demo")
-        def work(x):
-            calls.append(x)
-            return x * 2
-
-        assert active_session() is None
-        assert work(3) == 6
-        assert calls == [3]
-
-    def test_profiled_records_into_active_session(self):
-        @profiled("demo", items_from=lambda n: n)
-        def work(n):
-            return n
-
+    def test_record_appends_an_externally_timed_stage(self):
         session = PerfSession()
-        with session.activate():
-            assert active_session() is session
-            work(5)
-            work(7)
-        assert active_session() is None
-        assert session.stage_names() == ["demo"]
-        assert [record.items for record in session.records] == [5, 7]
-
-    def test_observe_reports_to_active_session_only(self):
-        observe("ignored", 1.0)  # no active session: silently dropped
-        session = PerfSession()
-        with session.activate():
-            observe("stage", 0.25, items=4)
+        session.record("stage", 0.25, items=4)
+        session.record("other", 0.5)
         assert session.total_seconds("stage") == 0.25
-        assert session.as_dicts()[0]["name"] == "stage"
-
-    def test_nested_sessions_record_into_innermost(self):
-        outer, inner = PerfSession(), PerfSession()
-        with outer.activate():
-            with inner.activate():
-                observe("x", 1.0)
-        assert inner.total_seconds() == 1.0
-        assert outer.total_seconds() == 0.0
+        assert session.total_seconds() == 0.75
+        assert session.stage_names() == ["stage", "other"]
+        first = session.as_dicts()[0]
+        assert first["name"] == "stage"
+        assert first["items"] == 4
+        assert first["rss_before_bytes"] == first["rss_after_bytes"] > 0
 
 
-class TestFlexerTimingsHooks:
-    def test_record_stage_feeds_session_and_fields(self):
-        from repro.core import FlexERTimings
-
-        timings = FlexERTimings()
-        session = PerfSession()
-        with session.activate():
-            timings.record_stage("matcher-fit", 1.0)
-            timings.record_stage("representation", 2.0)
-            timings.record_stage("graph-build", 3.0)
-            timings.record_stage("gnn", 4.0, intent="equivalence")
-        assert timings.matcher_training_seconds == 1.0
-        assert timings.gnn_seconds_per_intent == {"equivalence": 4.0}
-        assert timings.total_seconds == 10.0
-        assert session.stage_names() == [
-            "flexer:matcher-fit",
-            "flexer:representation",
-            "flexer:graph-build",
-            "flexer:gnn:equivalence",
+class TestFlexerTimings:
+    def test_timings_are_a_view_of_the_stage_events(self):
+        events = [
+            StageEvent(STAGE_MATCHER_FIT, "k1", STATUS_COMPUTED, 1.0),
+            StageEvent(STAGE_REPRESENTATION, "k2", STATUS_HIT, 2.0),
+            StageEvent(STAGE_GRAPH_BUILD, "k3", STATUS_COMPUTED, 3.0),
+            StageEvent(f"{STAGE_GNN}:equivalence", "k4", STATUS_COMPUTED, 4.0),
+            StageEvent(f"{STAGE_GNN}:brand", "k5", STATUS_HIT, 5.0),
+            StageEvent(STAGE_MODEL, "k6", STATUS_COMPUTED, 100.0),
         ]
-        as_dict = timings.as_dict()
-        assert as_dict["total_seconds"] == 10.0
-
-    def test_record_stage_rejects_unknown_stage(self):
-        from repro.core import FlexERTimings
-
-        with pytest.raises(ValueError):
-            FlexERTimings().record_stage("nope", 1.0)
+        timings = PipelineResult(solution=None, graph=None, events=events).timings
+        assert timings == FlexERTimings(
+            matcher_training_seconds=1.0,
+            representation_seconds=2.0,
+            graph_build_seconds=3.0,
+            gnn_seconds_per_intent={"equivalence": 4.0, "brand": 5.0},
+        )
+        assert list(timings.gnn_seconds_per_intent) == ["equivalence", "brand"]
+        assert timings.gnn_total_seconds == 9.0
+        assert timings.total_seconds == 15.0
+        assert timings.as_dict()["total_seconds"] == 15.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            timings.graph_build_seconds = 0.0
 
 
 @pytest.fixture(scope="module")
@@ -138,6 +116,23 @@ class TestPerfSuite:
         assert "pipeline-cold" in stage_names
         assert "blocking-end-to-end" in stage_names
         assert any(name.startswith("flexer:") for name in stage_names)
+
+    def test_stages_are_the_timed_calls_plus_one_record_per_cold_event(self, suite_report):
+        vectorized = suite_report["workloads"][0]["vectorized"]
+        timings = vectorized["flexer_timings"]
+        intents = list(timings["gnn_seconds_per_intent"])
+        assert len(intents) == 5  # amazon_mi's intents
+        cold_stages = [STAGE_MATCHER_FIT, STAGE_REPRESENTATION, STAGE_GRAPH_BUILD]
+        cold_stages += [f"{STAGE_GNN}:{intent}" for intent in intents]
+        names = [stage["name"] for stage in vectorized["stages"]]
+        assert names == [
+            "blocking-end-to-end",
+            "pipeline-cold",
+            *(f"flexer:{stage}" for stage in cold_stages),
+            "pipeline-warm",
+        ]
+        flexer_seconds = sum(stage["wall_seconds"] for stage in vectorized["stages"][2:-1])
+        assert flexer_seconds == pytest.approx(timings["total_seconds"])
 
     def test_kernels_are_equivalent(self, suite_report):
         kernels = suite_report["workloads"][0]["kernels"]
@@ -217,3 +212,34 @@ class TestCli:
             ]
         )
         assert exit_code == 2
+
+    @pytest.mark.parametrize(
+        "value", ["1,x", "-3,0", "0", ""], ids=["word", "negative", "zero", "empty"]
+    )
+    @pytest.mark.parametrize(
+        "section, option",
+        [("--scaling", "--scaling-workers"), ("--retrieval-scale", "--retrieval-scale-sizes")],
+        ids=["scaling-workers", "retrieval-scale-sizes"],
+    )
+    def test_bad_count_list_is_a_usage_error(self, tmp_path, section, option, value):
+        output = tmp_path / "BENCH_perf.json"
+        with pytest.raises(SystemExit) as raised:
+            perf_main(["--smoke", "--output", str(output), section, f"{option}={value}"])
+        assert raised.value.code == 2
+        assert not output.exists()
+
+    def test_scaling_section_shape(self, tmp_path):
+        output = tmp_path / "BENCH_perf.json"
+        argv = ["--smoke", "--output", str(output), "--scaling", "--scaling-workers", "1,2"]
+        assert perf_main(argv + ["--scaling-executor", "threads"]) == 0
+        scaling = load_report(output)["workloads"][0]["scaling"]
+        assert scaling["executor"] == "threads"
+        assert scaling["worker_counts"] == [1, 2]
+        entries = scaling["entries"]
+        assert [entry["workers"] for entry in entries] == [1, 2]
+        assert [entry["executor"] for entry in entries] == ["serial", "threads"]
+        assert entries[0]["end_to_end_speedup"] == 1.0
+        for entry in entries:
+            assert entry["end_to_end_speedup"] > 0
+            assert set(entry["stage_speedups"]) == set(entry["stages"])
+            assert "merge_overhead_seconds" not in entry
