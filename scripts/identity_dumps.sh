@@ -22,6 +22,18 @@
 #   model.npz, fit_query.npz         fit --save-model and its --dump-query
 #   query_online.npz                 query --dump-result on the saved model
 #   update_query.npz                 an update cycle's --dump-result
+#   update_chain_fingerprints.txt    the fingerprint after each of three
+#                                    seeded update cycles on a copy of
+#                                    model.npz (each edits a fitted title,
+#                                    so it refreshes pairs, adds held-out
+#                                    records and, after the first, deletes
+#                                    an earlier-added one), saved as
+#                                    segments after every cycle
+#   update_chain_live.npz            online answers of the updated model
+#   update_chain_loaded.npz          the same answers from the chain
+#                                    reloaded in a fresh process (the
+#                                    script fails if the reloaded
+#                                    fingerprint or answers differ)
 #   scenario_streaming_processes.json
 #                                    the streaming-smoke scenario report
 #                                    under two worker processes
@@ -59,6 +71,70 @@ pipeline query "${small[@]}" --model "$out/model.npz" \
     --query-holdout 6 --query-k 4 --query-mode online --dump-result "$out/query_online.npz"
 pipeline update "${small[@]}" --model "$out/model.npz" \
     --query-holdout 6 --upsert 3 --query-k 4 --no-save --dump-result "$out/update_query.npz"
+
+# An update chain that refreshes pairs and replays its segments on load.
+# The records match the fit's: the CLI's default seed and the same
+# --query-holdout 6.
+chain="$(mktemp -d)"
+trap 'rm -rf "$chain"' EXIT
+cp "$out/model.npz" "$chain/model.npz"
+chain_step() {
+    PYTHONPATH=src python - "$1" "$out" "$chain/model.npz" <<'EOF'
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from repro import ResolverModel, load_benchmark
+from repro.data.records import Record
+from repro.data.serialization import write_artifact
+from repro.datasets import TitlePerturber
+
+step, out, path = sys.argv[1], Path(sys.argv[2]), Path(sys.argv[3])
+benchmark = load_benchmark("amazon_mi", num_pairs=120, products_per_domain=10, seed=42)
+records = list(benchmark.dataset.records)
+holdout, probes = records[-6:-2], records[-2:]
+fingerprints = out / "update_chain_fingerprints.txt"
+
+
+def dump_answers(model, name):
+    arrays, metadata = model.query(probes, k=4, mode="online").as_arrays()
+    write_artifact(out / name, arrays, metadata)
+
+
+if step == "live":
+    model = ResolverModel.load(path)
+    fitted = list(model.corpus.records)
+    rng = np.random.default_rng(0)
+    perturber = TitlePerturber(rng=rng)
+    added, lines = [], []
+    for cycle, new in enumerate([holdout[:2], holdout[2:3], holdout[3:]], start=1):
+        record = fitted[rng.integers(len(fitted))]
+        values = dict(record.values, title=perturber.perturb(record.values["title"]))
+        deletes = [added.pop(0)] if added else []
+        result = model.update(
+            upserts=[Record(record.record_id, values, record.source), *new],
+            deletes=deletes,
+            compact="never",
+        )
+        if not result.refreshed_pairs:
+            sys.exit(f"update cycle {cycle} refreshed no pair")
+        added.extend(new_record.record_id for new_record in new)
+        model.save(path)
+        lines.append(f"{cycle} {model.fingerprint()}")
+    fingerprints.write_text("\n".join(lines) + "\n")
+    dump_answers(model, "update_chain_live.npz")
+else:
+    model = ResolverModel.load(path)
+    live = fingerprints.read_text().split()[-1]
+    if model.fingerprint() != live:
+        sys.exit(f"reloaded update chain fingerprint {model.fingerprint()} != live {live}")
+    dump_answers(model, "update_chain_loaded.npz")
+EOF
+}
+chain_step live
+chain_step loaded
+cmp "$out/update_chain_live.npz" "$out/update_chain_loaded.npz"
 pipeline scenario --name streaming-smoke --seed 0 --executor processes --workers 2 \
     --report "$out/scenario_streaming_processes.json"
 

@@ -75,10 +75,10 @@ def compute_representations(
     4.1.1).  Both come from the solver's ``intent_outputs``: one encode
     and one forward pass.
 
-    The online query path passes ``one_shot=True`` for a batch that
-    will not recur: each row's values then equal a one-pair call's,
+    The online query path and update pass ``one_shot=True`` for a batch
+    that will not recur: each row's values then equal a one-pair call's,
     whatever else is in the batch, and its texts stay out of the
-    encoder's caches.  Fit, exact replay and update keep the default.
+    encoder's caches.  Fit and exact replay keep the default.
     """
     representations, probabilities = solver.intent_outputs(candidates, one_shot=one_shot)
     if not augment_with_scores:

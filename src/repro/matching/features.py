@@ -154,9 +154,10 @@ class PairFeatureEncoder:
         """Encode a list of candidate pairs into a ``(n, dimension)`` matrix.
 
         ``one_shot=True`` marks a batch that will not recur, such as an
-        online query's pairs: it goes straight to :meth:`encode_batch`,
-        skipping the result cache and the executor, and its texts are
-        looked up in the text cache but not inserted.
+        online query's or an update's pairs: it goes straight to
+        :meth:`encode_batch`, skipping the result cache and the
+        executor, and its texts are looked up in the text cache but not
+        inserted.
         """
         if not pairs:
             return np.zeros((0, self.dimension), dtype=np.float64)

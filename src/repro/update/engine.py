@@ -10,10 +10,12 @@ delta-maintains every fitted component instead of refitting:
 2. the candidate retriever absorbs the delta
    (:meth:`~repro.retrieval.candidates.CandidateRetriever.apply_delta`)
    and filters tombstones out of every ranking;
-3. pairs the upserted records introduce (their retrieved corpus
-   neighbours) are appended to the representation matrices and the
-   multiplex-graph edge log, with existing node ids renumbered for the
-   grown pair axis;
+3. the representation rows of every pair a changed record belongs to
+   are recomputed, and pairs the upserted records introduce (their
+   retrieved corpus neighbours) are appended to the representation
+   matrices and the multiplex-graph edge log, with existing node ids
+   renumbered for the grown pair axis; both kinds of row come from
+   stacked, row-invariant representation passes;
 4. per-intent GraphSAGE corpus hidden states are refreshed only for the
    touched neighbourhoods — the frozen weights re-propagate through the
    closure of nodes whose inputs changed, level by level, leaving every
@@ -155,22 +157,31 @@ def _reanchor_split(split: DatasetSplit, dataset: Dataset, intents) -> DatasetSp
     )
 
 
-def _pair_representations(model, dataset: Dataset, pair: RecordPair) -> dict[str, np.ndarray]:
-    """Per-intent representation row of one pair, computed in isolation.
+#: Pairs per representation pass of an update: bounds the encoder's
+#: temporaries (about 24 KB per pair) on a large delta.
+REPRESENTATION_CHUNK_PAIRS = 256
 
-    BLAS results can differ in the last bit with the batch row count, so
-    one pair per call keeps update replay bit-identical regardless of how
-    deltas were batched.  Update keeps this path rather than the online
-    query's stacked row-invariant pass: a stacked pass over a cycle's
-    new pairs is faster but holds larger temporaries, on a model whose
-    memory already grows with every cycle.
+
+def _pair_representations(
+    model, dataset: Dataset, pairs: Sequence[RecordPair]
+) -> dict[str, np.ndarray]:
+    """Per-intent representation rows of ``pairs`` from one stacked pass.
+
+    The pass is ``one_shot``: each row equals a one-pair call's bit for
+    bit, whatever else the pass holds, so update replay stays
+    bit-identical however deltas were batched or chunked, and the
+    pairs' texts, which never recur, stay out of the encoder's text
+    cache.
     """
     zeros = {intent: 0 for intent in model.intents}
     pair_set = CandidateSet(
-        dataset, pairs=[LabeledPair(pair=pair, labels=zeros)], intents=model.intents
+        dataset,
+        pairs=[LabeledPair(pair=pair, labels=zeros) for pair in pairs],
+        intents=model.intents,
     )
-    features = compute_representations(model.solver, pair_set, model.augment_with_scores)
-    return {intent: np.asarray(features[intent][0], dtype=np.float64) for intent in model.intents}
+    return compute_representations(
+        model.solver, pair_set, model.augment_with_scores, one_shot=True
+    )
 
 
 def _introduced_pairs(
@@ -398,21 +409,19 @@ def apply_delta_to_model(model, delta: CorpusDelta, pair_k: int | None = None) -
     new_pairs = _introduced_pairs(model, delta, set(pair_order), pair_k)
     new_num_pairs = old_num_pairs + len(new_pairs)
 
-    refreshed_rows = {
-        index: _pair_representations(model, dataset, pair_order[index])
-        for index in touched_pair_indexes
-    }
-    new_rows = [_pair_representations(model, dataset, pair) for pair in new_pairs]
     representations: dict[str, np.ndarray] = {}
     for intent in model.intents:
-        matrix = np.array(model.representations[intent], dtype=np.float64)
-        for index, rows in refreshed_rows.items():
-            matrix[index] = rows[intent]
-        if new_rows:
-            matrix = np.concatenate(
-                [matrix, np.stack([rows[intent] for rows in new_rows])], axis=0
-            )
-        representations[intent] = matrix
+        stored = np.asarray(model.representations[intent], dtype=np.float64)
+        representations[intent] = np.empty((new_num_pairs, stored.shape[1]), dtype=np.float64)
+        representations[intent][:old_num_pairs] = stored
+    # Refreshed rows in touched order, then the new pairs' appended rows.
+    computed_pairs = refreshed_pairs + new_pairs
+    row_indexes = touched_pair_indexes + list(range(old_num_pairs, new_num_pairs))
+    for start in range(0, len(computed_pairs), REPRESENTATION_CHUNK_PAIRS):
+        chunk = slice(start, start + REPRESENTATION_CHUNK_PAIRS)
+        rows = _pair_representations(model, dataset, computed_pairs[chunk])
+        for intent in model.intents:
+            representations[intent][row_indexes[chunk]] = rows[intent]
     model.representations = representations
     model.update_pairs.extend(new_pairs)
 
