@@ -19,8 +19,14 @@
 #                                    serial and with two worker processes
 #                                    (the script fails if the two differ)
 #   resolve_walmart_amazon.npz       resolve --dump-result on walmart_amazon
+#   resolve_token.npz                resolve --dump-result with the token
+#                                    blocker (every other dump blocks
+#                                    with qgram)
 #   model.npz, fit_query.npz         fit --save-model and its --dump-query
 #   query_online.npz                 query --dump-result on the saved model
+#   model_blocker.npz,               the same fit and online query with the
+#   fit_query_blocker.npz,           blocker retriever, which probes the
+#   query_online_blocker.npz         qgram index instead of ann_knn vectors
 #   update_query.npz                 an update cycle's --dump-result
 #   update_chain_fingerprints.txt    the fingerprint after each of three
 #                                    seeded update cycles on a copy of
@@ -64,11 +70,18 @@ for solver in in_parallel multi_label naive; do
 done
 pipeline resolve --dataset walmart_amazon --num-pairs 120 --products 10 "${epochs[@]}" \
     --dump-result "$out/resolve_walmart_amazon.npz"
+pipeline resolve "${small[@]}" "${epochs[@]}" --blocker token \
+    --dump-result "$out/resolve_token.npz"
 
 pipeline fit "${small[@]}" "${epochs[@]}" --save-model "$out/model.npz" \
     --query-holdout 6 --query-k 4 --dump-query "$out/fit_query.npz"
 pipeline query "${small[@]}" --model "$out/model.npz" \
     --query-holdout 6 --query-k 4 --query-mode online --dump-result "$out/query_online.npz"
+pipeline fit "${small[@]}" "${epochs[@]}" --retriever blocker \
+    --save-model "$out/model_blocker.npz" \
+    --query-holdout 6 --query-k 4 --dump-query "$out/fit_query_blocker.npz"
+pipeline query "${small[@]}" --model "$out/model_blocker.npz" --query-holdout 6 --query-k 4 \
+    --query-mode online --dump-result "$out/query_online_blocker.npz"
 pipeline update "${small[@]}" --model "$out/model.npz" \
     --query-holdout 6 --upsert 3 --query-k 4 --no-save --dump-result "$out/update_query.npz"
 

@@ -2,10 +2,11 @@
 
 from .base import (
     Blocker,
-    BlockingReport,
     BlockingStats,
+    KeyBlocker,
     OversizedBlockWarning,
     join_blocks,
+    sources_admissible,
 )
 from .full import FullBlocker
 from .qgram import QGramBlocker
@@ -13,10 +14,11 @@ from .token import TokenBlocker, DEFAULT_STOPWORDS
 
 __all__ = [
     "Blocker",
-    "BlockingReport",
     "BlockingStats",
+    "KeyBlocker",
     "OversizedBlockWarning",
     "join_blocks",
+    "sources_admissible",
     "FullBlocker",
     "QGramBlocker",
     "TokenBlocker",

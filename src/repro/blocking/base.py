@@ -10,14 +10,30 @@ from __future__ import annotations
 
 import abc
 import warnings
+from collections import defaultdict
 from dataclasses import dataclass
 from collections.abc import Iterable, Mapping
 
 import numpy as np
 
 from ..data.pairs import RecordPair
-from ..data.records import Dataset
-from ..exec.plan import ShardPlan
+from ..data.records import Dataset, Record
+from ..exceptions import BlockingError
+
+
+def sources_admissible(
+    left_source: str | None, right_source: str | None, cross_source_only: bool
+) -> bool:
+    """The cross-source rule every blocker and retriever pairs records by.
+
+    Under ``cross_source_only`` (clean-clean resolution) two records of
+    the same named source never pair; a record without a source pairs
+    with any.  :func:`reduce_block_pairs` applies the same rule to whole
+    rank arrays.
+    """
+    if not cross_source_only or left_source is None or right_source is None:
+        return True
+    return left_source != right_source
 
 
 class Blocker(abc.ABC):
@@ -32,6 +48,8 @@ class Blocker(abc.ABC):
 
     #: Registry key of the concrete blocker (set by subclasses).
     spec_type: str = ""
+    #: Restrict pairs to records from different sources (clean-clean).
+    cross_source_only: bool = False
 
     @abc.abstractmethod
     def block(self, dataset: Dataset) -> list[RecordPair]:
@@ -54,16 +72,12 @@ class Blocker(abc.ABC):
 
     @staticmethod
     def allow_pair(dataset: Dataset, left_id: str, right_id: str, cross_source_only: bool) -> bool:
-        """Shared pair-admissibility rule used by concrete blockers."""
+        """Whether two records of ``dataset`` may pair (:func:`sources_admissible`)."""
         if left_id == right_id:
             return False
-        if not cross_source_only:
-            return True
-        left_source = dataset[left_id].source
-        right_source = dataset[right_id].source
-        if left_source is None or right_source is None:
-            return True
-        return left_source != right_source
+        return not cross_source_only or sources_admissible(
+            dataset[left_id].source, dataset[right_id].source, cross_source_only
+        )
 
 
 @dataclass(frozen=True)
@@ -105,10 +119,6 @@ def block_pair_arrays(
     ``np.triu_indices`` per *block size* rather than per block — all
     blocks of equal size are stacked into one matrix and expanded
     together.  Pairs are canonically oriented (smaller rank left).
-
-    The output depends only on the blocks it receives, so any partition
-    of an inverted index can be expanded shard by shard and the
-    concatenated outputs fed to :func:`reduce_block_pairs`.
     """
     offsets = np.zeros(len(sizes), dtype=np.int64)
     np.cumsum(sizes[:-1], out=offsets[1:])
@@ -133,12 +143,6 @@ def block_pair_arrays(
     return np.concatenate(lefts), np.concatenate(rights), num_block_pairs
 
 
-def _block_pairs_worker(payload):
-    """Executor task wrapping :func:`block_pair_arrays` (one key shard)."""
-    flat_ranks, sizes = payload
-    return block_pair_arrays(flat_ranks, sizes)
-
-
 def reduce_block_pairs(
     left_ranks: np.ndarray,
     right_ranks: np.ndarray,
@@ -153,9 +157,8 @@ def reduce_block_pairs(
     keys, applies the ``min_shared`` threshold and the cross-source
     admissibility rule, and materializes
     :class:`~repro.data.pairs.RecordPair` objects.  ``np.unique`` sorts
-    globally, so the result is independent of how the input arrays were
-    partitioned or ordered — the key property that makes the sharded
-    join bit-identical to the serial one.
+    globally, so the result is independent of the order of the input
+    arrays, and the pairs come out in canonical sorted order.
     """
     num_records = len(record_ids)
     # Pack each (left, right) rank pair into one sortable 64-bit key.
@@ -195,7 +198,6 @@ def join_blocks(
     min_shared: int,
     cross_source_only: bool,
     max_block_size: int | None,
-    executor=None,
 ) -> tuple[list[RecordPair], BlockingStats]:
     """Turn an inverted index into candidate pairs via a sorted-array join.
 
@@ -212,11 +214,6 @@ def join_blocks(
     Each block's members must be distinct (inverted indexes built from
     per-record key *sets* guarantee this); duplicate members within one
     block would inflate its co-occurrence counts.
-
-    With a parallel ``executor`` (see :mod:`repro.exec`) the expansion
-    fans out over key-group shards balanced by per-block pair count
-    (``|block|·(|block|-1)/2``); the reduce step is order-independent,
-    so the sharded join is bit-identical to the serial one.
 
     Returns the pairs plus a :class:`BlockingStats`; oversized blocks are
     skipped with an :class:`OversizedBlockWarning`.
@@ -257,29 +254,7 @@ def join_blocks(
         count=int(sizes.sum()),
     )
 
-    if executor is not None and getattr(executor, "is_parallel", False) and len(member_lists) > 1:
-        # Map: expand each key-group shard independently (shards balance
-        # the quadratic per-block pair cost, so one stop-gram-sized block
-        # occupies a shard of its own).
-        weights = (sizes * (sizes - 1) // 2).tolist()
-        plan = ShardPlan.balanced(weights, executor.workers)
-        offsets = np.zeros(len(sizes), dtype=np.int64)
-        np.cumsum(sizes[:-1], out=offsets[1:])
-        payloads = []
-        for shard in plan.shards:
-            positions = np.asarray(shard.items, dtype=np.int64)
-            shard_sizes = sizes[positions]
-            shard_ranks = np.concatenate(
-                [flat_ranks[offsets[p] : offsets[p] + sizes[p]] for p in positions.tolist()]
-            )
-            payloads.append((shard_ranks, shard_sizes))
-        outputs = executor.map(_block_pairs_worker, payloads)
-        left_ranks = np.concatenate([out[0] for out in outputs])
-        right_ranks = np.concatenate([out[1] for out in outputs])
-        num_block_pairs = int(sum(out[2] for out in outputs))
-    else:
-        left_ranks, right_ranks, num_block_pairs = block_pair_arrays(flat_ranks, sizes)
-
+    left_ranks, right_ranks, num_block_pairs = block_pair_arrays(flat_ranks, sizes)
     pairs = reduce_block_pairs(
         left_ranks, right_ranks, record_ids, dataset, min_shared, cross_source_only
     )
@@ -287,22 +262,106 @@ def join_blocks(
     return pairs, stats
 
 
-@dataclass(frozen=True)
-class BlockingReport:
-    """Summary of a blocking run, used by benchmarks and examples."""
+class KeyBlocker(Blocker):
+    """Base of blockers that pair records sharing enough blocking keys.
 
-    num_records: int
-    num_candidate_pairs: int
-    reduction_ratio: float
+    A subclass says only how one record is keyed (:meth:`record_keys`)
+    and serializes its own spec.  Everything else is shared: parameter
+    validation, the inverted index from keys to record ids, the
+    vectorized join (:meth:`block`) and its loop oracle
+    (:meth:`block_loop`).  The online ``blocker`` retriever keys query
+    records through the same :meth:`record_keys`, so it probes the
+    index exactly as the offline join built it.
 
-    @classmethod
-    def from_result(cls, dataset: Dataset, pairs: list[RecordPair]) -> "BlockingReport":
-        """Compute the report for a blocker output over ``dataset``."""
-        n = len(dataset)
-        total_pairs = n * (n - 1) // 2
-        reduction = 1.0 - (len(pairs) / total_pairs) if total_pairs else 0.0
-        return cls(
-            num_records=n,
-            num_candidate_pairs=len(pairs),
-            reduction_ratio=reduction,
+    Parameters
+    ----------
+    min_shared:
+        Minimum number of distinct shared keys required to keep a pair.
+    attributes:
+        Attributes whose text participates in blocking; defaults to all.
+    cross_source_only:
+        Restrict pairs to records from different sources (clean-clean).
+    max_block_size:
+        Keys indexing more than this many records are skipped (they
+        behave as stop-keys and would otherwise produce a quadratic
+        blow-up); ``None`` disables the cap.
+    """
+
+    def __init__(
+        self,
+        min_shared: int,
+        attributes: Iterable[str] | None,
+        cross_source_only: bool,
+        max_block_size: int | None,
+    ) -> None:
+        if min_shared <= 0:
+            raise BlockingError("min_shared must be positive")
+        if max_block_size is not None and max_block_size <= 1:
+            raise BlockingError("max_block_size must exceed 1 when given")
+        self.min_shared = min_shared
+        self.attributes = tuple(attributes) if attributes is not None else None
+        self.cross_source_only = cross_source_only
+        self.max_block_size = max_block_size
+        #: Statistics of the most recent :meth:`block` run.
+        self.last_stats = BlockingStats()
+
+    @abc.abstractmethod
+    def record_keys(self, record: Record) -> frozenset[str]:
+        """The distinct blocking keys of one record."""
+
+    def index(self, dataset: Dataset) -> dict[str, list[str]]:
+        """Inverted index from blocking keys to record ids, in dataset order."""
+        index: dict[str, list[str]] = defaultdict(list)
+        for record in dataset:
+            for key in self.record_keys(record):
+                index[key].append(record.record_id)
+        return index
+
+    def block(self, dataset: Dataset) -> list[RecordPair]:
+        """Return the candidate pairs sharing at least ``min_shared`` keys.
+
+        The co-occurrence join runs vectorized (see :func:`join_blocks`);
+        statistics of the run — including blocks skipped by the
+        ``max_block_size`` guard — are kept in :attr:`last_stats`.
+        """
+        pairs, stats = join_blocks(
+            dataset,
+            self.index(dataset),
+            min_shared=self.min_shared,
+            cross_source_only=self.cross_source_only,
+            max_block_size=self.max_block_size,
         )
+        self.last_stats = stats
+        return pairs
+
+    def block_loop(self, dataset: Dataset) -> list[RecordPair]:
+        """Reference implementation materializing the shared-count pair dict."""
+        index = self.index(dataset)
+        shared_counts: dict[tuple[str, str], int] = defaultdict(int)
+        num_oversized = 0
+        num_block_pairs = 0
+        for _, record_ids in index.items():
+            if self.max_block_size is not None and len(record_ids) > self.max_block_size:
+                num_oversized += 1
+                continue
+            record_ids = sorted(set(record_ids))
+            for i, left_id in enumerate(record_ids):
+                for right_id in record_ids[i + 1 :]:
+                    num_block_pairs += 1
+                    if not self.allow_pair(dataset, left_id, right_id, self.cross_source_only):
+                        continue
+                    shared_counts[(left_id, right_id)] += 1
+
+        pairs = [
+            RecordPair(left_id, right_id)
+            for (left_id, right_id), count in shared_counts.items()
+            if count >= self.min_shared
+        ]
+        pairs.sort()
+        self.last_stats = BlockingStats(
+            num_blocks=len(index),
+            num_oversized_blocks=num_oversized,
+            num_block_pairs=num_block_pairs,
+            num_candidate_pairs=len(pairs),
+        )
+        return pairs

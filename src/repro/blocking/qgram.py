@@ -2,24 +2,22 @@
 
 The paper's AmazonMI benchmark keeps record pairs that share at least one
 character 4-gram (Section 5.1, following the Magellan blocker), and the
-WDC cross-category expansion uses the same rule.  This blocker builds an
-inverted index from q-grams to records and emits pairs co-occurring in at
-least ``min_shared`` postings lists.
+WDC cross-category expansion uses the same rule.  This blocker keys each
+record by its distinct character q-grams and emits pairs co-occurring in
+at least ``min_shared`` postings lists.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from collections.abc import Iterable
 
-from ..data.pairs import RecordPair
-from ..data.records import Dataset
+from ..data.records import Record
 from ..exceptions import BlockingError
-from ..text.memo import TextMemo
-from .base import Blocker, BlockingStats, join_blocks
+from ..text.ngrams import char_ngrams
+from .base import KeyBlocker
 
 
-class QGramBlocker(Blocker):
+class QGramBlocker(KeyBlocker):
     """Keep pairs of records sharing at least ``min_shared`` character q-grams.
 
     Parameters
@@ -50,21 +48,13 @@ class QGramBlocker(Blocker):
     ) -> None:
         if q <= 0:
             raise BlockingError("q must be positive")
-        if min_shared <= 0:
-            raise BlockingError("min_shared must be positive")
-        if max_block_size is not None and max_block_size <= 1:
-            raise BlockingError("max_block_size must exceed 1 when given")
+        super().__init__(min_shared, attributes, cross_source_only, max_block_size)
         self.q = q
-        self.min_shared = min_shared
-        self.attributes = tuple(attributes) if attributes is not None else None
-        self.cross_source_only = cross_source_only
-        self.max_block_size = max_block_size
-        #: Statistics of the most recent :meth:`block` run.
-        self.last_stats = BlockingStats()
-        #: Optional :class:`repro.exec.Executor` the co-occurrence join
-        #: shards over.  Runtime wiring (attached by the resolver), not
-        #: part of the spec: executors never change blocking results.
-        self.executor = None
+
+    # Defined in this class's own namespace, not only inherited: tracing
+    # tools (the repository benchmark's tracer among them) wrap
+    # ``QGramBlocker.block`` by name and look it up in this class alone.
+    block = KeyBlocker.block
 
     def to_spec(self) -> dict[str, object]:
         """Serialize the blocker configuration into a registry spec."""
@@ -79,62 +69,6 @@ class QGramBlocker(Blocker):
             },
         }
 
-    def _index(self, dataset: Dataset) -> dict[str, list[str]]:
-        """Inverted index from q-grams to record ids (text memoized per record)."""
-        memo = TextMemo(dataset, self.attributes)
-        index: dict[str, list[str]] = defaultdict(list)
-        for record in dataset:
-            for gram in memo.ngram_set(record.record_id, self.q):
-                index[gram].append(record.record_id)
-        return index
-
-    def block(self, dataset: Dataset) -> list[RecordPair]:
-        """Return the candidate pairs sharing at least ``min_shared`` q-grams.
-
-        The co-occurrence join runs vectorized (see
-        :func:`repro.blocking.base.join_blocks`); statistics of the run —
-        including blocks skipped by the ``max_block_size`` guard — are
-        kept in :attr:`last_stats`.
-        """
-        pairs, stats = join_blocks(
-            dataset,
-            self._index(dataset),
-            min_shared=self.min_shared,
-            cross_source_only=self.cross_source_only,
-            max_block_size=self.max_block_size,
-            executor=self.executor,
-        )
-        self.last_stats: BlockingStats = stats
-        return pairs
-
-    def block_loop(self, dataset: Dataset) -> list[RecordPair]:
-        """Reference implementation materializing the shared-count pair dict."""
-        index = self._index(dataset)
-        shared_counts: dict[tuple[str, str], int] = defaultdict(int)
-        num_oversized = 0
-        num_block_pairs = 0
-        for _, record_ids in index.items():
-            if self.max_block_size is not None and len(record_ids) > self.max_block_size:
-                num_oversized += 1
-                continue
-            record_ids = sorted(set(record_ids))
-            for i, left_id in enumerate(record_ids):
-                for right_id in record_ids[i + 1 :]:
-                    num_block_pairs += 1
-                    if not self.allow_pair(dataset, left_id, right_id, self.cross_source_only):
-                        continue
-                    shared_counts[(left_id, right_id)] += 1
-
-        pairs = [
-            RecordPair(left_id, right_id)
-            for (left_id, right_id), count in shared_counts.items()
-            if count >= self.min_shared
-        ]
-        pairs.sort()
-        self.last_stats = BlockingStats(
-            num_blocks=len(index),
-            num_oversized_blocks=num_oversized,
-            num_block_pairs=num_block_pairs,
-            num_candidate_pairs=len(pairs),
-        )
-        return pairs
+    def record_keys(self, record: Record) -> frozenset[str]:
+        """The record's distinct character q-grams."""
+        return frozenset(char_ngrams(record.text(self.attributes), self.q))

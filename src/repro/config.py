@@ -33,12 +33,21 @@ class MatcherConfig:
         pair representation used to initialize graph nodes (the ``[CLS]``
         analogue, 768-dimensional in the paper).
     n_features:
-        Dimensionality of the hashed n-gram feature space.
+        Not read by the matchers or the feature encoder: changing it
+        changes no feature.  The hashed feature space is
+        :attr:`repro.matching.features.PairFeatureConfig.n_features`
+        (256 buckets by default), set through the ``feature_config``
+        argument of :class:`~repro.resolver.Resolver` and
+        :class:`~repro.pipeline.PipelineRunner`.  The field stays because
+        ``config.matcher`` enters every matcher-fit stage fingerprint and
+        every saved model document.
     epochs, batch_size, learning_rate, weight_decay:
         Standard training knobs for the Adam optimizer.
     l2_similarity_features:
-        Whether to append classic string-similarity features (Jaccard,
-        Jaro-Winkler, ...) to the hashed representation.
+        Not read either, kept for the same reason.  Whether
+        string-similarity features (Jaccard, Jaro-Winkler, ...) are
+        appended is
+        :attr:`~repro.matching.features.PairFeatureConfig.use_similarity_features`.
     seed:
         Seed for parameter initialization and batch shuffling.
     """

@@ -7,10 +7,11 @@ computation:
 * :func:`encode_pairs_sharded` — pair feature encoding over contiguous
   pair-range shards (row-independent, outputs are vertically stacked);
 * :func:`run_classifier_jobs` — per-intent GNN fit/predict, one task per
-  intent, with the multiplex graph shipped as plain arrays;
-* (blocking joins shard per *key group* inside
-  :func:`repro.blocking.base.join_blocks`, which owns the co-occurrence
-  reduce step.)
+  intent, with the multiplex graph shipped as plain arrays.
+
+(The per-intent matchers fan out inside
+:class:`repro.matching.solvers.InParallelSolver`; blocking always runs
+its serial join.)
 
 All worker functions here are module-level and take one picklable
 payload, as required by the process executor.
@@ -24,7 +25,6 @@ import numpy as np
 
 from ..faults import inject
 from .executors import Executor
-from .plan import ShardPlan
 
 
 # -------------------------------------------------------- pair feature encoding
@@ -49,19 +49,23 @@ def encode_pairs_sharded(
 ) -> np.ndarray:
     """Batch-encode ``pairs`` across ``executor`` workers, preserving order.
 
-    Each shard runs :meth:`PairFeatureEncoder.encode_batch` on a fresh
-    encoder (no shared caches between workers); since every feature row
-    depends only on its own pair, stacking the shard matrices in plan
-    order is bit-identical to one unsharded batch encode.
+    The pairs are split into at most ``executor.workers`` contiguous
+    ranges whose sizes differ by at most one.  Each range runs
+    :meth:`PairFeatureEncoder.encode_batch` on a fresh encoder (no
+    shared caches between workers); since every feature row depends only
+    on its own pair, stacking the range matrices in order is
+    bit-identical to one unsharded batch encode.
     """
-    plan = ShardPlan.contiguous(len(pairs), executor.workers)
-    payloads = [
-        (feature_config, dataset, tuple(shard_pairs)) for shard_pairs in plan.take(list(pairs))
-    ]
-    matrices = executor.map(_encode_shard_worker, payloads)
-    if not matrices:
+    if not pairs:
         raise ValueError("encode_pairs_sharded requires at least one pair")
-    return np.vstack(matrices)
+    num_shards = min(executor.workers, len(pairs))
+    base, extra = divmod(len(pairs), num_shards)
+    bounds = [shard * base + min(shard, extra) for shard in range(num_shards + 1)]
+    payloads = [
+        (feature_config, dataset, tuple(pairs[start:stop]))
+        for start, stop in zip(bounds, bounds[1:])
+    ]
+    return np.vstack(executor.map(_encode_shard_worker, payloads))
 
 
 # ------------------------------------------------------------ per-intent GNNs

@@ -101,13 +101,6 @@ class PairFeatureEncoder:
         vector_config = HashingVectorizerConfig(n_features=self.config.n_features)
         self._vectorizer = HashingVectorizer(vector_config)
         self._serialization = SerializationConfig(attributes=self.config.attributes)
-        # Single-slot result cache: solvers encode the same candidate set
-        # back to back (representations + likelihoods), so the last batch
-        # is kept keyed by the dataset (strong reference, so its identity
-        # stays valid) plus the pair id tuples.  Callers never mutate the
-        # returned matrix (they wrap it in fresh Tensors), and records
-        # are frozen, so cached rows cannot go stale.
-        self._last_batch: tuple[Dataset, tuple, np.ndarray] | None = None
         # Per-dataset text memo reused across batches (records are frozen,
         # so memoized views cannot go stale), a persistent Jaro-Winkler
         # token-pair cache shared by all Monge-Elkan calls, and a
@@ -153,23 +146,16 @@ class PairFeatureEncoder:
     ) -> np.ndarray:
         """Encode a list of candidate pairs into a ``(n, dimension)`` matrix.
 
+        The encoder keeps no reference to the returned matrix.
         ``one_shot=True`` marks a batch that will not recur, such as an
         online query's or an update's pairs: it goes straight to
-        :meth:`encode_batch`, skipping the result cache and the
-        executor, and its texts are looked up in the text cache but not
-        inserted.
+        :meth:`encode_batch`, skipping the executor, and its texts are
+        looked up in the text cache but not inserted.
         """
         if not pairs:
             return np.zeros((0, self.dimension), dtype=np.float64)
         if one_shot:
             return self.encode_batch(dataset, pairs, cache_texts=False)
-        pair_key = tuple(pair.as_tuple() for pair in pairs)
-        if (
-            self._last_batch is not None
-            and self._last_batch[0] is dataset
-            and self._last_batch[1] == pair_key
-        ):
-            return self._last_batch[2]
         if (
             self.executor is not None
             and getattr(self.executor, "is_parallel", False)
@@ -180,11 +166,8 @@ class PairFeatureEncoder:
             # to one unsharded encode_batch call.
             from ..exec.stages import encode_pairs_sharded
 
-            matrix = encode_pairs_sharded(self.config, dataset, pairs, self.executor)
-        else:
-            matrix = self.encode_batch(dataset, pairs)
-        self._last_batch = (dataset, pair_key, matrix)
-        return matrix
+            return encode_pairs_sharded(self.config, dataset, pairs, self.executor)
+        return self.encode_batch(dataset, pairs)
 
     def encode_loop(self, dataset: Dataset, pairs: list[RecordPair]) -> np.ndarray:
         """Reference implementation: one :meth:`encode_pair` per pair."""

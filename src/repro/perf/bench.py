@@ -526,14 +526,15 @@ def scaling_curve(
     Runs the workload end-to-end — blocking plus a cold staged pipeline
     — once per worker count: one worker uses the ``serial`` executor
     (the scaling baseline), higher counts shard the embarrassingly
-    parallel stages (blocking join, pair encoding, per-intent matcher
-    and GNN training) over ``executor_type``.  Every run starts from a
-    fresh cache, and all runs produce bit-identical results, so the
-    entries measure pure execution cost.
+    parallel stages (pair encoding, per-intent matcher and GNN
+    training) over ``executor_type``.  Every run starts from a fresh
+    cache, and all runs produce bit-identical results, so the entries
+    measure pure execution cost.
 
     Each entry reports end-to-end wall time, the per-stage FlexER
     breakdown, and speedups relative to the one-worker entry
-    (end-to-end and per stage).
+    (end-to-end and per stage).  ``blocking_wall_seconds`` times the
+    serial blocking join, which no executor shards.
     ``available_cpus`` is recorded alongside: speedups saturate at the
     machine's core count, so a 4-worker entry on a 2-core runner is
     expected to sit near 2x.
@@ -556,16 +557,11 @@ def scaling_curve(
             else executor_spec(executor_type, workers=workers)
         )
         config = replace(workload.flexer_config(), executor=spec)
-        blocker = QGramBlocker(q=4)
-        executor = make_executor(spec)
-        if executor.is_parallel:
-            blocker.executor = executor
-        # The runner shares the blocker's executor instance, so each
-        # entry runs over exactly one worker pool (started outside any
-        # per-stage timing but inside the end-to-end window only once).
-        runner = PipelineRunner(cache=ArtifactCache(), executor=executor)
+        # One executor instance per entry, so each entry runs over exactly
+        # one worker pool (started inside the end-to-end window only once).
+        runner = PipelineRunner(cache=ArtifactCache(), executor=make_executor(spec))
         start = time.perf_counter()
-        blocker.block(benchmark.dataset)
+        QGramBlocker(q=4).block(benchmark.dataset)
         blocking_seconds = time.perf_counter() - start
         result = runner.run(benchmark.split, benchmark.intents, config=config)
         end_to_end = time.perf_counter() - start

@@ -227,8 +227,7 @@ class PipelineRunner:
         """The executor of a run: the runner override or the config spec.
 
         Instances are memoized by canonical spec so repeated runs (batch
-        grids, warm re-runs) — and the resolver's blocking step — share
-        one worker pool.
+        grids, warm re-runs) share one worker pool.
         """
         source = self.executor_override if self.executor_override is not None else config.executor
         if isinstance(source, Executor):

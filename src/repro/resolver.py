@@ -163,19 +163,8 @@ class Resolver:
     # ------------------------------------------------------------------ steps
 
     def block(self, dataset: Dataset) -> list[RecordPair]:
-        """Run the configured blocker over ``dataset``.
-
-        With a parallel executor configured, blockers that support it
-        shard their co-occurrence join across the executor's workers
-        (bit-identical to the serial join).
-        """
-        blocker = self.make_blocker()
-        # The runner memoizes executors per spec, so blocking shares the
-        # pipeline stages' worker pool instead of starting its own.
-        executor = self.runner.executor_for(self.config)
-        if executor.is_parallel and hasattr(blocker, "executor"):
-            blocker.executor = executor
-        pairs = blocker.block(dataset)
+        """Run the configured blocker over ``dataset``."""
+        pairs = self.make_blocker().block(dataset)
         if not pairs:
             raise BlockingError(
                 f"blocker {self.config.blocker['type']!r} produced no candidate "
@@ -449,7 +438,7 @@ class Resolver:
         blocker is never penalized for same-source positives it is
         configured to exclude.
         """
-        cross_source_only = bool(getattr(self.make_blocker(), "cross_source_only", False))
+        cross_source_only = self.make_blocker().cross_source_only
         golden: dict[str, set[RecordPair]] | None = None
         if labels is not None:
             golden = {intent: set() for intent in intents}

@@ -19,10 +19,10 @@ Two built-in retrievers are registered in
     without re-vectorizing the corpus.
 ``blocker``
     Reuse of the fitted blocking strategy: the corpus inverted index of
-    a ``qgram``/``token`` blocker is probed with the query record's keys
-    and candidates are ranked by shared-key count, honouring the
-    blocker's ``min_shared``/``max_block_size``/``cross_source_only``
-    semantics.
+    a key-based (``qgram``/``token``) blocker is probed with the query
+    record's keys, derived by the blocker's own ``record_keys``, and
+    candidates are ranked by shared-key count, honouring the blocker's
+    ``min_shared``/``max_block_size``/``cross_source_only`` semantics.
 """
 
 from __future__ import annotations
@@ -33,10 +33,9 @@ from collections.abc import Mapping, Sequence
 import numpy as np
 
 from ..ann.knn import ExactNearestNeighbors
-from ..blocking.base import Blocker
+from ..blocking.base import KeyBlocker, sources_admissible
 from ..data.records import Dataset, Record
 from ..exceptions import ConfigurationError, NotFittedError
-from ..text.memo import TextMemo
 from ..text.vectorizers import HashingVectorizer, HashingVectorizerConfig
 
 
@@ -211,11 +210,8 @@ class HashedVectorRetriever(CandidateRetriever):
                 continue
             if corpus_id in self._tombstones:
                 continue
-            if (
-                self.cross_source_only
-                and record.source is not None
-                and self._sources[position] is not None
-                and record.source == self._sources[position]
+            if not sources_admissible(
+                record.source, self._sources[position], self.cross_source_only
             ):
                 continue
             ids.append(corpus_id)
@@ -370,17 +366,18 @@ class AnnKnnRetriever(HashedVectorRetriever):
 class BlockerRetriever(CandidateRetriever):
     """Reuse a fitted blocker's inverted index for online retrieval.
 
-    The corpus index of a key-based blocker (``qgram`` or ``token``) is
-    built once at fit time; each query record's keys probe the postings
-    lists and candidates are ranked by the number of shared keys —
-    exactly the co-occurrence count the offline blocker thresholds with
-    ``min_shared``.
+    The corpus index of a :class:`~repro.blocking.base.KeyBlocker`
+    (``qgram`` or ``token``) is built once at fit time; each query
+    record's keys — derived by the blocker's own ``record_keys``, as the
+    offline join derives them — probe the postings lists, and candidates
+    are ranked by the number of shared keys: exactly the co-occurrence
+    count the offline blocker thresholds with ``min_shared``.
 
     Parameters
     ----------
     blocker:
-        Registry spec of the wrapped blocker (must expose an inverted
-        ``_index``; the ``full`` cross-product blocker has none and is
+        Registry spec of the wrapped blocker (must be key-based; the
+        ``full`` cross-product blocker has no inverted index and is
         rejected).
     """
 
@@ -392,7 +389,7 @@ class BlockerRetriever(CandidateRetriever):
 
         self._blocker_spec = BLOCKERS.normalize(blocker)
         self.blocker = BLOCKERS.create(self._blocker_spec)
-        if not hasattr(self.blocker, "_index"):
+        if not isinstance(self.blocker, KeyBlocker):
             raise ConfigurationError(
                 f"blocker {self._blocker_spec['type']!r} exposes no inverted index; "
                 f"use a key-based blocker (qgram/token) for online retrieval"
@@ -409,7 +406,7 @@ class BlockerRetriever(CandidateRetriever):
     def fit(self, dataset: Dataset) -> "BlockerRetriever":
         """Build the wrapped blocker's inverted index over the corpus."""
         self._dataset = dataset
-        self._index = dict(self.blocker._index(dataset))
+        self._index = dict(self.blocker.index(dataset))
         self._tombstones = set()
         self._fitted = True
         return self
@@ -434,7 +431,7 @@ class BlockerRetriever(CandidateRetriever):
         previous = self._dataset
         for record_id in upserted_ids:
             if record_id in previous:
-                for key in self._query_keys(previous[record_id]):
+                for key in self.blocker.record_keys(previous[record_id]):
                     members = self._index.get(key)
                     if members is None or record_id not in members:
                         continue
@@ -442,23 +439,12 @@ class BlockerRetriever(CandidateRetriever):
                     if not members:
                         del self._index[key]
             record = dataset[record_id]
-            for key in sorted(self._query_keys(record)):
+            for key in sorted(self.blocker.record_keys(record)):
                 members = self._index.setdefault(key, [])
                 if record_id not in members:
                     members.append(record_id)
         self._dataset = dataset
         self.set_tombstones(tombstones)
-
-    def _query_keys(self, record: Record) -> frozenset[str]:
-        """The blocking keys of one query record (same derivation as fit)."""
-        probe = Dataset(records=[record], name="query-probe")
-        memo = TextMemo(probe, self.blocker.attributes)
-        if hasattr(self.blocker, "q"):
-            return memo.ngram_set(record.record_id, self.blocker.q)
-        keys = memo.token_set(record.record_id)
-        if hasattr(self.blocker, "_keys"):
-            keys = frozenset(self.blocker._keys(keys))
-        return keys
 
     def retrieve(self, records: Sequence[Record], k: int) -> list[list[str]]:
         """Corpus records sharing ≥ ``min_shared`` keys, ranked by overlap."""
@@ -466,13 +452,13 @@ class BlockerRetriever(CandidateRetriever):
         if k <= 0:
             raise ConfigurationError("k must be positive")
         assert self._dataset is not None
-        min_shared = int(getattr(self.blocker, "min_shared", 1))
-        max_block_size = getattr(self.blocker, "max_block_size", None)
-        cross_source_only = bool(getattr(self.blocker, "cross_source_only", False))
+        min_shared = self.blocker.min_shared
+        max_block_size = self.blocker.max_block_size
+        cross_source_only = self.blocker.cross_source_only
         candidates: list[list[str]] = []
         for record in records:
             counts: dict[str, int] = {}
-            for key in self._query_keys(record):
+            for key in self.blocker.record_keys(record):
                 members = self._index.get(key)
                 if members is None:
                     continue
@@ -489,23 +475,14 @@ class BlockerRetriever(CandidateRetriever):
                     if count >= min_shared
                     and corpus_id != record.record_id
                     and corpus_id not in self._tombstones
-                    and _sources_admissible(
-                        record, self._dataset[corpus_id], cross_source_only
+                    and sources_admissible(
+                        record.source, self._dataset[corpus_id].source, cross_source_only
                     )
                 ),
                 key=lambda item: (-item[1], item[0]),
             )
             candidates.append([corpus_id for corpus_id, _ in ranked[:k]])
         return candidates
-
-
-def _sources_admissible(query: Record, corpus: Record, cross_source_only: bool) -> bool:
-    """The blocker admissibility rule applied to a (query, corpus) pair."""
-    if not cross_source_only:
-        return True
-    if query.source is None or corpus.source is None:
-        return True
-    return query.source != corpus.source
 
 
 # Re-exported for the registry module's registration pass.
@@ -517,7 +494,6 @@ BUILTIN_RETRIEVERS: dict[str, type] = {
 
 __all__ = [
     "AnnKnnRetriever",
-    "Blocker",
     "BlockerRetriever",
     "BUILTIN_RETRIEVERS",
     "CandidateRetriever",

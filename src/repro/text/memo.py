@@ -1,12 +1,13 @@
-"""Per-record text memoization shared by blocking and feature encoding.
+"""Per-record text memoization for pair-feature encoding.
 
-Blocking and pair-feature encoding both derive per-record views of the
-raw text — serialized text, word tokens, token sets, character n-gram
-sets, bag-of-token counts.  Computed naively these views are rebuilt once
-per *pair*, i.e. ``O(|C|)`` redundant tokenizations for ``O(|D|)``
-distinct records.  :class:`TextMemo` scopes the derived views to one
-dataset pass so every record is tokenized exactly once regardless of how
-many candidate pairs it participates in.
+Pair-feature encoding derives per-record views of the raw text —
+serialized text, word tokens, token sets, character n-gram sets,
+bag-of-token counts.  Computed naively these views are rebuilt once per
+*pair*, i.e. ``O(|C|)`` redundant tokenizations for ``O(|D|)`` distinct
+records.  :class:`TextMemo` scopes the derived views to one dataset pass
+so every record is tokenized exactly once regardless of how many
+candidate pairs it participates in.  (Blocking needs no memo: it keys
+each record once, through ``KeyBlocker.record_keys``.)
 """
 
 from __future__ import annotations

@@ -1,10 +1,10 @@
-"""Tests for the blocking phase (q-gram and token blockers)."""
+"""Tests for the blocking phase (q-gram and token blockers, the block join)."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.blocking import BlockingReport, QGramBlocker, TokenBlocker
+from repro.blocking import QGramBlocker, TokenBlocker, join_blocks
 from repro.data.pairs import RecordPair
 from repro.data.records import Dataset, Record
 from repro.exceptions import BlockingError
@@ -45,8 +45,9 @@ class TestQGramBlocker:
             QGramBlocker(q=0)
         with pytest.raises(BlockingError):
             QGramBlocker(min_shared=0)
-        with pytest.raises(BlockingError):
-            QGramBlocker(max_block_size=1)
+        for max_block_size in (1, 0, -3):
+            with pytest.raises(BlockingError, match="max_block_size must exceed 1"):
+                QGramBlocker(max_block_size=max_block_size)
 
     def test_max_block_size_prunes_stop_grams(self):
         records = [
@@ -86,20 +87,23 @@ class TestTokenBlocker:
             TokenBlocker(min_shared=0)
         with pytest.raises(BlockingError):
             TokenBlocker(min_token_length=0)
+        for max_block_size in (1, 0, -3):
+            with pytest.raises(BlockingError, match="max_block_size must exceed 1"):
+                TokenBlocker(max_block_size=max_block_size)
 
 
-class TestBlockingReport:
-    def test_reduction_ratio(self, toy_dataset):
-        pairs = QGramBlocker(q=4).block(toy_dataset)
-        report = BlockingReport.from_result(toy_dataset, pairs)
-        assert report.num_records == len(toy_dataset)
-        assert report.num_candidate_pairs == len(pairs)
-        assert 0.0 <= report.reduction_ratio <= 1.0
-
-    def test_empty_dataset_report(self):
-        dataset = Dataset(records=[])
-        report = BlockingReport.from_result(dataset, [])
-        assert report.reduction_ratio == 0.0
+class TestJoinBlocks:
+    def test_min_shared_accumulates_across_blocks(self, toy_dataset):
+        # A pair's shared count sums over every block it co-occurs in.
+        blocks = {
+            "k1": ["r1", "r2"],
+            "k2": ["r1", "r2", "r3"],
+            "k3": ["r2", "r3"],
+            "k4": ["r1", "r2", "r4"],
+        }
+        pairs, stats = join_blocks(toy_dataset, blocks, 2, False, None)
+        assert [pair.as_tuple() for pair in pairs] == [("r1", "r2"), ("r2", "r3")]
+        assert (stats.num_blocks, stats.num_block_pairs, stats.num_candidate_pairs) == (4, 8, 2)
 
 
 class TestFullBlocker:

@@ -8,13 +8,10 @@ import numpy as np
 import pytest
 
 import repro
-from repro.blocking.base import join_blocks
-from repro.blocking.qgram import QGramBlocker
 from repro.exceptions import ConfigurationError, ExecutionError
 from repro.exec import (
     ProcessExecutor,
     SerialExecutor,
-    ShardPlan,
     ThreadExecutor,
     encode_pairs_sharded,
     executor_spec,
@@ -47,61 +44,6 @@ EXECUTOR_FACTORIES = [
     pytest.param(lambda: ThreadExecutor(workers=2), id="threads"),
     pytest.param(lambda: ProcessExecutor(workers=2), id="processes"),
 ]
-
-
-class TestShardPlan:
-    def test_contiguous_balances_and_preserves_order(self):
-        plan = ShardPlan.contiguous(10, 3)
-        assert plan.num_shards == 3
-        assert [shard.items for shard in plan.shards] == [
-            (0, 1, 2, 3),
-            (4, 5, 6),
-            (7, 8, 9),
-        ]
-
-    def test_contiguous_empty_input_has_no_shards(self):
-        plan = ShardPlan.contiguous(0, 4)
-        assert plan.is_empty
-        assert plan.num_shards == 0
-        assert plan.take([]) == []
-
-    def test_contiguous_more_workers_than_items(self):
-        plan = ShardPlan.contiguous(2, 8)
-        assert plan.num_shards == 2
-        assert all(len(shard) == 1 for shard in plan.shards)
-
-    def test_balanced_isolates_single_oversized_block(self):
-        # One stop-gram-sized block dominates: it must occupy a shard of
-        # its own while the small blocks balance across the rest.
-        plan = ShardPlan.balanced([5000, 3, 2, 3, 2], 3)
-        heavy = [shard for shard in plan.shards if 0 in shard.items]
-        assert len(heavy) == 1
-        assert heavy[0].items == (0,)
-        light_weights = sorted(shard.weight for shard in plan.shards if shard is not heavy[0])
-        assert light_weights == [5.0, 5.0]
-
-    def test_balanced_empty_and_overprovisioned(self):
-        assert ShardPlan.balanced([], 4).num_shards == 0
-        plan = ShardPlan.balanced([1.0, 2.0], 16)
-        assert plan.num_shards == 2
-
-    def test_balanced_rejects_negative_weights(self):
-        with pytest.raises(ExecutionError):
-            ShardPlan.balanced([1.0, -1.0], 2)
-
-    def test_take_and_restore_round_trip(self):
-        plan = ShardPlan.balanced([3, 1, 4, 1, 5], 2)
-        items = ["a", "b", "c", "d", "e"]
-        shards = plan.take(items)
-        restored = plan.restore(shards)
-        assert restored == items
-
-    def test_restore_rejects_mismatched_outputs(self):
-        plan = ShardPlan.contiguous(4, 2)
-        with pytest.raises(ExecutionError):
-            plan.restore([[1, 2]])
-        with pytest.raises(ExecutionError):
-            plan.restore([[1], [2, 3, 4]])
 
 
 class TestExecutors:
@@ -162,6 +104,9 @@ class TestShardedStages:
         reference = PairFeatureEncoder(config).encode_batch(dataset, pairs)
         sharded = encode_pairs_sharded(config, dataset, pairs, factory())
         assert np.array_equal(reference, sharded)
+        # More workers than pairs: one single-pair range, no empty shard.
+        single = encode_pairs_sharded(config, dataset, pairs[:1], factory())
+        assert np.array_equal(reference[:1], single)
 
     def test_encoder_executor_attribute_path(self, encode_inputs):
         dataset, pairs = encode_inputs
@@ -170,36 +115,6 @@ class TestShardedStages:
         encoder = PairFeatureEncoder(config)
         encoder.executor = ThreadExecutor(workers=2)
         assert np.array_equal(serial, encoder.encode(dataset, pairs))
-
-    @pytest.mark.parametrize(
-        "factory", [EXECUTOR_FACTORIES[1], EXECUTOR_FACTORIES[2]]
-    )
-    def test_sharded_block_join_bit_identical(self, factory, tiny_benchmark):
-        dataset = tiny_benchmark.dataset
-        serial_blocker = QGramBlocker(q=4)
-        serial_pairs = serial_blocker.block(dataset)
-        sharded_blocker = QGramBlocker(q=4)
-        sharded_blocker.executor = factory()
-        sharded_pairs = sharded_blocker.block(dataset)
-        assert serial_pairs == sharded_pairs
-        assert serial_blocker.last_stats == sharded_blocker.last_stats
-
-    def test_sharded_join_handles_min_shared_across_shards(self, toy_dataset):
-        # Pairs co-occurring in blocks that land on *different* shards
-        # must still accumulate their shared count in the reduce step.
-        blocks = {
-            "k1": ["r1", "r2"],
-            "k2": ["r1", "r2", "r3"],
-            "k3": ["r2", "r3"],
-            "k4": ["r1", "r2", "r4"],
-        }
-        serial, serial_stats = join_blocks(toy_dataset, blocks, 2, False, None)
-        sharded, sharded_stats = join_blocks(
-            toy_dataset, blocks, 2, False, None, executor=ProcessExecutor(workers=2)
-        )
-        assert serial == sharded
-        assert [pair.as_tuple() for pair in serial] == [("r1", "r2"), ("r2", "r3")]
-        assert serial_stats == sharded_stats
 
     def test_parallel_matcher_fit_bit_identical(self, tiny_benchmark, fast_config):
         train = tiny_benchmark.split.train

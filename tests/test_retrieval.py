@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.data.records import Dataset, Record
 from repro.exceptions import ConfigurationError, NotFittedError
@@ -123,3 +124,84 @@ class TestBlockerRetriever:
         assert fitted.retrieve([query_record], k=4) == restored.retrieve(
             [query_record], k=4
         )
+
+
+#: Title vocabulary for the agreement property: shared product words,
+#: stopwords and short tokens.  Stopwords are listed twice so most titles
+#: carry several; only the token blocker's key rule drops them, and a
+#: retriever that keys records differently from the blocker then pairs
+#: records through them.
+TITLE_WORDS = (
+    ["nike", "air", "max", "boost", "runner", "shoe"]
+    + ["the", "and", "for", "new", "with", "of"] * 2
+    + ["ab", "xl", "go"]
+)
+
+key_blocker_specs = st.one_of(
+    st.builds(
+        lambda q, min_shared, cross: {
+            "type": "qgram",
+            "q": q,
+            "min_shared": min_shared,
+            "cross_source_only": cross,
+            "max_block_size": None,
+        },
+        st.integers(3, 4),
+        st.integers(1, 3),
+        st.booleans(),
+    ),
+    st.builds(
+        lambda min_shared, cross: {
+            "type": "token",
+            "min_shared": min_shared,
+            "cross_source_only": cross,
+            "max_block_size": None,
+        },
+        st.integers(1, 2),
+        st.booleans(),
+    ),
+)
+
+
+@st.composite
+def corpora_with_holdouts(draw):
+    """A small two-source corpus, a query position and a few delta positions."""
+    size = draw(st.integers(min_value=4, max_value=10))
+    titles = st.lists(st.sampled_from(TITLE_WORDS), min_size=1, max_size=6).map(" ".join)
+    sources = st.sampled_from(["walmart", "amazon", None])
+    records = [
+        Record(f"c{index:02d}", {"title": draw(titles)}, source=draw(sources))
+        for index in range(size)
+    ]
+    query = draw(st.integers(0, size - 1))
+    others = [index for index in range(size) if index != query]
+    delta = draw(st.lists(st.sampled_from(others), min_size=1, max_size=3, unique=True))
+    return records, query, delta
+
+
+class TestBlockerRetrieverMatchesBlocking:
+    @given(spec=key_blocker_specs, drawn=corpora_with_holdouts())
+    @settings(max_examples=150, deadline=None)
+    def test_candidates_equal_offline_partners_after_update(self, spec, drawn):
+        # Online retrieval must key a record exactly as the offline
+        # blocker keyed the corpus, including for records an update adds.
+        records, query_position, delta = drawn
+        query = records[query_position]
+        held_out = {query_position, *delta}
+        base = [record for index, record in enumerate(records) if index not in held_out]
+        added = [records[index] for index in delta]
+        retriever = BlockerRetriever(blocker=spec).fit(Dataset(records=base, name="base"))
+        retriever.apply_delta(
+            Dataset(records=base + added, name="updated"),
+            [record.record_id for record in added],
+        )
+        (retrieved,) = retriever.retrieve([query], k=len(records))
+
+        offline = retriever.blocker.block(Dataset(records=records, name="corpus"))
+        partners = {
+            pair.right_id if pair.left_id == query.record_id else pair.left_id
+            for pair in offline
+            if query.record_id in pair.as_tuple()
+        }
+        assert len(retrieved) == len(set(retrieved))
+        assert set(retrieved) == partners

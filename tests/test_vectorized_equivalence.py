@@ -12,8 +12,10 @@ entry points onto the oracles.
 
 from __future__ import annotations
 
+import gc
 import random
 import warnings
+import weakref
 from collections.abc import Iterator
 from contextlib import contextmanager
 
@@ -195,7 +197,6 @@ class TestBatchedEncoder:
         pairs = random_pairs(rng, dataset, 12)
         config = PairFeatureConfig(n_features=16)
         vectorized = PairFeatureEncoder(config).encode(dataset, pairs)
-        # A fresh encoder: a reused one would answer from its result cache.
         with loop_oracles():
             reference = PairFeatureEncoder(config).encode(dataset, pairs)
         assert np.array_equal(vectorized, reference)
@@ -212,14 +213,19 @@ class TestBatchedEncoder:
             encoder.encode_loop(dataset, pairs), encoder.encode_batch(dataset, pairs)
         )
 
-    def test_result_cache_returns_same_matrix_object(self):
+    @pytest.mark.parametrize("one_shot", [False, True])
+    def test_encoder_keeps_no_feature_matrix(self, one_shot):
+        # A long-lived encoder (a fitted model's) must not pin its last
+        # encoded batch in memory once the caller drops it.
         rng = random.Random(51)
         dataset = random_dataset(rng, 8)
         pairs = random_pairs(rng, dataset, 10)
         encoder = PairFeatureEncoder(PairFeatureConfig(n_features=16))
-        first = encoder.encode(dataset, pairs)
-        second = encoder.encode(dataset, pairs)
-        assert first is second
+        matrix = encoder.encode(dataset, pairs, one_shot=one_shot)
+        released = weakref.ref(matrix)
+        del matrix
+        gc.collect()
+        assert released() is None
 
 
 class TestBlockingJoins:
