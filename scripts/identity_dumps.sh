@@ -28,6 +28,12 @@
 #   fit_query_blocker.npz,           blocker retriever, which probes the
 #   query_online_blocker.npz         qgram index instead of ann_knn vectors
 #   update_query.npz                 an update cycle's --dump-result
+#   model_<r>.npz, fit_query_<r>.npz for each sub-linear retriever <r>
+#   candidates_<r>.npz,              (hnsw, and lsh with 64 bands of 6
+#   update_query_<r>.npz             rows): fit --save-model and its
+#                                    --dump-query, retrieval-eval
+#                                    --dump-candidates, and an update
+#                                    cycle's --dump-result on the model
 #   update_chain_fingerprints.txt    the fingerprint after each of three
 #                                    seeded update cycles on a copy of
 #                                    model.npz (each edits a fitted title,
@@ -84,6 +90,20 @@ pipeline query "${small[@]}" --model "$out/model_blocker.npz" --query-holdout 6 
     --query-mode online --dump-result "$out/query_online_blocker.npz"
 pipeline update "${small[@]}" --model "$out/model.npz" \
     --query-holdout 6 --upsert 3 --query-k 4 --no-save --dump-result "$out/update_query.npz"
+for retriever in hnsw lsh; do
+    retriever_args=(--retriever "$retriever")
+    if [[ $retriever == lsh ]]; then
+        # The default 12-row bands leave this small corpus's buckets empty.
+        retriever_args+=(--retriever-arg num_bands=64 --retriever-arg rows_per_band=6)
+    fi
+    pipeline fit "${small[@]}" "${epochs[@]}" "${retriever_args[@]}" \
+        --save-model "$out/model_$retriever.npz" \
+        --query-holdout 6 --query-k 4 --dump-query "$out/fit_query_$retriever.npz"
+    pipeline retrieval-eval "${small[@]}" --model "$out/model_$retriever.npz" \
+        --query-holdout 6 --dump-candidates "$out/candidates_$retriever.npz"
+    pipeline update "${small[@]}" --model "$out/model_$retriever.npz" --query-holdout 6 \
+        --upsert 3 --query-k 4 --no-save --dump-result "$out/update_query_$retriever.npz"
+done
 
 # An update chain that refreshes pairs and replays its segments on load.
 # The records match the fit's: the CLI's default seed and the same

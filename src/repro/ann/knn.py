@@ -126,6 +126,12 @@ class ExactNearestNeighbors:
         """Number of indexed rows."""
         return 0 if self._data is None else self._data.shape[0]
 
+    def export_arrays(self) -> dict[str, np.ndarray]:
+        """The indexed rows as plain arrays (everything :meth:`fit` needs)."""
+        if self._data is None:
+            raise ConfigurationError("the index must be fitted before exporting state")
+        return {"vectors": self._data}
+
     def _distances(self, queries: np.ndarray, row_invariant: bool = False) -> np.ndarray:
         assert self._data is not None
         if self.metric == "l2":

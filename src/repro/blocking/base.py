@@ -298,6 +298,11 @@ class KeyBlocker(Blocker):
             raise BlockingError("min_shared must be positive")
         if max_block_size is not None and max_block_size <= 1:
             raise BlockingError("max_block_size must exceed 1 when given")
+        if isinstance(attributes, str):
+            # tuple() would split the name into single characters.
+            raise BlockingError(
+                f"attributes must be a list of attribute names, not the string {attributes!r}"
+            )
         self.min_shared = min_shared
         self.attributes = tuple(attributes) if attributes is not None else None
         self.cross_source_only = cross_source_only

@@ -39,6 +39,7 @@ from .registry import (
     BENCHMARK_LABELERS,
     PAPER_TABLE3,
     PAPER_TABLE4_TEST_POSITIVE_RATES,
+    benchmark_labeler,
     benchmark_names,
     load_benchmark,
 )
@@ -89,6 +90,7 @@ __all__ = [
     "BENCHMARK_LABELERS",
     "PAPER_TABLE3",
     "PAPER_TABLE4_TEST_POSITIVE_RATES",
+    "benchmark_labeler",
     "benchmark_names",
     "load_benchmark",
     "CorpusChunk",

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
+from ..data.records import Record
 from ..exceptions import ConfigurationError
 from .amazon_mi import make_amazon_mi
 from .benchmark import MIERBenchmark
@@ -36,6 +37,24 @@ BENCHMARK_LABELERS: dict[str, IntentLabeler] = {
     "walmart_amazon": WALMART_AMAZON_LABELER,
     "wdc": WDC_LABELER,
 }
+
+
+def benchmark_labeler(
+    benchmark: MIERBenchmark,
+) -> tuple[IntentLabeler, Callable[[Record, Record], dict[str, int]]]:
+    """``(intent labeler, record-level labeling callable)`` of a benchmark.
+
+    The callable labels a record pair for every intent by applying the
+    benchmark's ground-truth rules to the products behind the records.
+    """
+    labeler = BENCHMARK_LABELERS[benchmark.name]
+    products = benchmark.record_products
+
+    def record_labeler(left: Record, right: Record) -> dict[str, int]:
+        return labeler.label_pair(products[left.record_id], products[right.record_id])
+
+    return labeler, record_labeler
+
 
 #: Paper-reported statistics (Table 3), kept for report comparison.
 PAPER_TABLE3 = {

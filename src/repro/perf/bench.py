@@ -270,16 +270,11 @@ def _fit_query_model(workload: PerfWorkload, holdout: int):
     Returns ``(model, held_out_records, fit_seconds, corpus_size)``.
     """
     from ..data.records import Dataset
-    from ..datasets import BENCHMARK_LABELERS
+    from ..datasets import benchmark_labeler
     from ..resolver import Resolver
 
     benchmark = _load_benchmark(workload)
-    labeler = BENCHMARK_LABELERS[workload.dataset]
-    products = benchmark.record_products
-
-    def record_labeler(left, right):
-        return labeler.label_pair(products[left.record_id], products[right.record_id])
-
+    labeler, record_labeler = benchmark_labeler(benchmark)
     records = list(benchmark.dataset.records)
     holdout = min(holdout, max(len(records) // 4, 1))
     corpus = Dataset(

@@ -47,7 +47,7 @@ import numpy as np
 from .. import registry
 from ..config import CacheConfig, FlexERConfig, GNNConfig, GraphConfig, MatcherConfig
 from ..data.serialization import write_artifact
-from ..datasets import BENCHMARK_LABELERS, benchmark_names, load_benchmark
+from ..datasets import benchmark_labeler, benchmark_names, load_benchmark
 from ..evaluation import evaluate_binary, format_table
 from ..exec import executor_spec
 from ..resolver import Resolver, ResolverResult
@@ -578,12 +578,7 @@ def _command_resolve(args: argparse.Namespace) -> int:
         products_per_domain=args.products,
         seed=args.seed,
     )
-    labeler = BENCHMARK_LABELERS[args.dataset]
-    products = benchmark.record_products
-
-    def record_labeler(left, right):
-        return labeler.label_pair(products[left.record_id], products[right.record_id])
-
+    labeler, record_labeler = benchmark_labeler(benchmark)
     blocker_spec: dict[str, object] = {"type": args.blocker}
     if args.min_shared is not None and args.blocker in ("qgram", "token"):
         blocker_spec["min_shared"] = args.min_shared
@@ -659,17 +654,6 @@ def _coerce_spec_value(raw: str) -> object:
         return text
 
 
-def _benchmark_labeler(args: argparse.Namespace, benchmark):
-    """The record-level labeling callable of a synthetic benchmark."""
-    labeler = BENCHMARK_LABELERS[args.dataset]
-    products = benchmark.record_products
-
-    def record_labeler(left, right):
-        return labeler.label_pair(products[left.record_id], products[right.record_id])
-
-    return labeler, record_labeler
-
-
 def _holdout_corpus(args: argparse.Namespace, benchmark):
     """Split benchmark records into (corpus dataset, held-out query records).
 
@@ -732,7 +716,7 @@ def _command_fit(args: argparse.Namespace) -> int:
         products_per_domain=args.products,
         seed=args.seed,
     )
-    labeler, record_labeler = _benchmark_labeler(args, benchmark)
+    labeler, record_labeler = benchmark_labeler(benchmark)
     corpus, holdout_records = _holdout_corpus(args, benchmark)
 
     blocker_spec: dict[str, object] = {"type": args.blocker}

@@ -8,15 +8,18 @@ is fitted once over the corpus a :class:`~repro.model.ResolverModel`
 was trained on and then answers ``retrieve(records, k)`` — the ranked
 corpus record ids each new record should be scored against.
 
-Two built-in retrievers are registered in
-:data:`repro.registry.CANDIDATE_RETRIEVERS`:
+Four built-in retrievers are registered in
+:data:`repro.registry.CANDIDATE_RETRIEVERS`; this module defines two of
+them, and :mod:`repro.retrieval.hnsw` / :mod:`repro.retrieval.lsh` the
+sub-linear ``hnsw`` and ``lsh``, which share :class:`HashedVectorRetriever`
+with ``ann_knn``:
 
 ``ann_knn``
-    Approximate-nearest-neighbour-style retrieval over hashed n-gram
-    record vectors through :class:`~repro.ann.knn.ExactNearestNeighbors`
-    (the library's Faiss substitute).  The corpus vector matrix is part
-    of the persisted model state, so a loaded model serves queries
-    without re-vectorizing the corpus.
+    Exact nearest-neighbour retrieval over hashed n-gram record vectors
+    through :class:`~repro.ann.knn.ExactNearestNeighbors` (the
+    library's Faiss substitute).  The corpus vector matrix is part of
+    the persisted model state, so a loaded model serves queries without
+    re-vectorizing the corpus.
 ``blocker``
     Reuse of the fitted blocking strategy: the corpus inverted index of
     a key-based (``qgram``/``token``) blocker is probed with the query
@@ -28,11 +31,12 @@ Two built-in retrievers are registered in
 from __future__ import annotations
 
 import abc
+import inspect
 from collections.abc import Mapping, Sequence
 
 import numpy as np
 
-from ..ann.knn import ExactNearestNeighbors
+from ..ann.knn import ExactNearestNeighbors, NeighborResult
 from ..blocking.base import KeyBlocker, sources_admissible
 from ..data.records import Dataset, Record
 from ..exceptions import ConfigurationError, NotFittedError
@@ -143,11 +147,22 @@ class HashedVectorRetriever(CandidateRetriever):
     """Shared machinery of retrievers ranking hashed n-gram record vectors.
 
     Concrete subclasses (:class:`AnnKnnRetriever` and the sub-linear
-    ``hnsw``/``lsh`` retrievers) differ only in the index structure that
-    ranks corpus rows for a query vector; the text-to-vector encoding,
-    the corpus bookkeeping (record ids, sources), and the candidate
-    filtering rules (self-match, tombstones, ``cross_source_only``) are
-    identical and live here.
+    ``hnsw``/``lsh`` retrievers) differ only in the index that ranks
+    corpus rows for a query vector.  Everything else lives here, once:
+    the text-to-vector encoding, the corpus bookkeeping (record ids,
+    sources), fitting, persistence, delta updates, the over-fetch rule
+    and the candidate filtering rules (self-match, tombstones,
+    ``cross_source_only``).
+
+    A subclass creates its index (``self._index``) in its constructor
+    and implements :meth:`_replace_rows` and :meth:`_append_rows`; it
+    overrides :meth:`_encode`, :meth:`_build_index`, :meth:`_search` or
+    :meth:`_cross_source_fetch` only where its index differs from the
+    defaults.  The index must offer ``fit(vectors)``, ``search(queries,
+    k)`` returning a :class:`~repro.ann.knn.NeighborResult`,
+    ``export_arrays()`` with the corpus vectors under ``"vectors"``, and
+    ``num_indexed``.  A retriever's spec is its constructor parameters,
+    read back from the attributes of the same names.
 
     Parameters
     ----------
@@ -168,6 +183,11 @@ class HashedVectorRetriever(CandidateRetriever):
     ) -> None:
         if n_features <= 0:
             raise ConfigurationError("n_features must be positive")
+        if isinstance(attributes, str):
+            # tuple() would split the name into single characters.
+            raise ConfigurationError(
+                f"attributes must be a list of attribute names, not the string {attributes!r}"
+            )
         self.n_features = int(n_features)
         self.attributes = tuple(attributes) if attributes is not None else None
         self.cross_source_only = cross_source_only
@@ -177,7 +197,106 @@ class HashedVectorRetriever(CandidateRetriever):
         self._tombstones: set[str] = set()
         self._fitted = False
 
-    def _vectorize(self, records: Sequence[Record]) -> np.ndarray:
+    def to_spec(self) -> dict[str, object]:
+        """Serialize the constructor parameters into a registry spec."""
+        params = {name: getattr(self, name) for name in inspect.signature(type(self)).parameters}
+        if self.attributes is not None:
+            params["attributes"] = list(self.attributes)
+        return {"type": self.spec_type, "params": params}
+
+    def fit(self, dataset: Dataset) -> "HashedVectorRetriever":
+        """Encode every corpus record and index the vectors."""
+        self._register_corpus(dataset)
+        self._build_index(self._encode(list(dataset)), {})
+        self._tombstones = set()
+        self._fitted = True
+        return self
+
+    def state_arrays(self) -> dict[str, np.ndarray]:
+        """The index's arrays: ``vectors`` (row order = corpus order) and its own."""
+        self._require_fitted()
+        return self._index.export_arrays()
+
+    def load_state(self, arrays: Mapping[str, np.ndarray], dataset: Dataset) -> None:
+        """Restore the index from persisted arrays (no re-encoding).
+
+        A ``vectors`` matrix whose rows match ``dataset`` is indexed as
+        :meth:`_build_index` allows: restored from the index's own
+        arrays when they are present, rebuilt from the vectors alone
+        otherwise (deterministic, so the answers match the fit's).
+        Anything else falls back to a fresh :meth:`fit`.
+        """
+        vectors = arrays.get("vectors")
+        if vectors is None or vectors.shape[0] != len(dataset):
+            self.fit(dataset)
+            return
+        self._register_corpus(dataset)
+        self._build_index(np.asarray(vectors, dtype=np.float64), arrays)
+        self._tombstones = set()
+        self._fitted = True
+
+    def apply_delta(
+        self,
+        dataset: Dataset,
+        upserted_ids: Sequence[str],
+        tombstones: Sequence[str] | frozenset[str] = (),
+    ) -> None:
+        """Encode only the upserted records; keep every other row.
+
+        Modified records replace their existing rows
+        (:meth:`_replace_rows`) and new records append rows in corpus
+        order (:meth:`_append_rows`), at the cost of encoding only the
+        delta.  Each row is the deterministic encoding of that record's
+        text alone, so an index derived from its rows alone (``ann_knn``,
+        ``lsh``) ends up bit-identical to a fresh :meth:`fit` over
+        ``dataset``.
+        """
+        self._require_fitted()
+        positions = {rid: row for row, rid in enumerate(self._record_ids)}
+        new_ids = list(dataset.record_ids)
+        if new_ids[: len(positions)] != self._record_ids:
+            # Indexed prefix moved (should not happen via the update
+            # engine); a full refit is deterministic and always correct.
+            self.fit(dataset)
+            self.set_tombstones(tombstones)
+            return
+        changed = [rid for rid in upserted_ids if rid in positions]
+        added = new_ids[len(positions) :]
+        if changed:
+            rows = np.array([positions[rid] for rid in changed], dtype=np.int64)
+            self._replace_rows(rows, self._encode([dataset[rid] for rid in changed]))
+        if added:
+            self._append_rows(self._encode([dataset[rid] for rid in added]), added)
+        self._register_corpus(dataset)
+        self.set_tombstones(tombstones)
+
+    def retrieve(self, records: Sequence[Record], k: int) -> list[list[str]]:
+        """Ranked admissible corpus ids of each query record (best first).
+
+        The whole batch is ranked in one index search that over-fetches
+        by the self-match slot and the tombstone count (plus
+        :meth:`_cross_source_fetch` under ``cross_source_only``); the
+        admissibility rules then cut each list to ``k``.  Every index
+        ranks each query row independently of the rest of the batch, so
+        a record's candidates never depend on how the batch is cut.
+        """
+        self._require_fitted()
+        if k <= 0:
+            raise ConfigurationError("k must be positive")
+        if not records:
+            return []
+        search_k = k + 1 + len(self._tombstones)
+        if self.cross_source_only:
+            search_k += self._cross_source_fetch(k)
+        search_k = max(min(search_k, self._index.num_indexed), 1)
+        ranked = self._search(self._encode(records), search_k).neighbor_lists()
+        return [
+            self._filter_positions(record, positions, k)
+            for record, positions in zip(records, ranked)
+        ]
+
+    def _encode(self, records: Sequence[Record]) -> np.ndarray:
+        """The index's vectors of ``records``: their hashed n-gram vectors."""
         # Texts are looked up but never inserted.  Corpus vectors live in
         # the index after fit and apply_delta, and queries are new records.
         # Only an update's upserts recur, hashed once more when the update
@@ -187,6 +306,34 @@ class HashedVectorRetriever(CandidateRetriever):
         return self._vectorizer.transform(
             [record.text(names) for record in records], cache_texts=False
         )
+
+    def _build_index(self, vectors: np.ndarray, arrays: Mapping[str, np.ndarray]) -> None:
+        """Index the corpus ``vectors``; ``arrays`` are persisted index arrays.
+
+        A fit passes no arrays.  The default rebuilds from the vectors.
+        """
+        del arrays
+        self._index.fit(vectors)
+
+    @abc.abstractmethod
+    def _replace_rows(self, rows: np.ndarray, vectors: np.ndarray) -> None:
+        """Overwrite the indexed ``rows`` with new ``vectors``."""
+
+    @abc.abstractmethod
+    def _append_rows(self, vectors: np.ndarray, record_ids: Sequence[str]) -> None:
+        """Index ``vectors`` (of the records ``record_ids``) as new rows."""
+
+    def _search(self, queries: np.ndarray, k: int) -> NeighborResult:
+        """The index's ``k`` best-ranked rows for each query vector."""
+        return self._index.search(queries, k)
+
+    def _cross_source_fetch(self, k: int) -> int:
+        """Extra ranked rows fetched under ``cross_source_only``.
+
+        Same-source rows may fill any part of a ranking, so a search
+        that can rank only a prefix over-fetches by ``k`` more.
+        """
+        return k
 
     def _register_corpus(self, dataset: Dataset) -> None:
         """Record the corpus id/source layout the index rows map onto."""
@@ -221,7 +368,7 @@ class HashedVectorRetriever(CandidateRetriever):
 
 
 class AnnKnnRetriever(HashedVectorRetriever):
-    """Nearest-neighbour retrieval over hashed n-gram record vectors.
+    """Exact nearest-neighbour retrieval over hashed n-gram record vectors.
 
     Parameters
     ----------
@@ -251,116 +398,34 @@ class AnnKnnRetriever(HashedVectorRetriever):
         self.metric = metric
         self._index = ExactNearestNeighbors(metric=metric)
 
-    def to_spec(self) -> dict[str, object]:
-        """Serialize the retriever configuration into a registry spec."""
-        return {
-            "type": self.spec_type,
-            "params": {
-                "metric": self.metric,
-                "n_features": self.n_features,
-                "attributes": list(self.attributes) if self.attributes is not None else None,
-                "cross_source_only": self.cross_source_only,
-            },
-        }
+    # Defined in this class's own namespace, not only inherited: tracing
+    # tools (the repository benchmark's tracer among them) wrap these
+    # ``AnnKnnRetriever`` methods by name and look them up in this class
+    # alone.
+    fit = HashedVectorRetriever.fit
+    retrieve = HashedVectorRetriever.retrieve
+    apply_delta = HashedVectorRetriever.apply_delta
 
-    def fit(self, dataset: Dataset) -> "AnnKnnRetriever":
-        """Vectorize and index every corpus record."""
-        self._register_corpus(dataset)
-        self._index.fit(self._vectorize(list(dataset)))
-        self._tombstones = set()
-        self._fitted = True
-        return self
+    def _replace_rows(self, rows: np.ndarray, vectors: np.ndarray) -> None:
+        data = np.array(self._index._data, dtype=np.float64)
+        data[rows] = vectors
+        self._index.fit(data)
 
-    def apply_delta(
-        self,
-        dataset: Dataset,
-        upserted_ids: Sequence[str],
-        tombstones: Sequence[str] | frozenset[str] = (),
-    ) -> None:
-        """Re-vectorize only the upserted records; keep every other row.
+    def _append_rows(self, vectors: np.ndarray, record_ids: Sequence[str]) -> None:
+        self._index.fit(np.concatenate([self._index._data, vectors], axis=0))
 
-        Modified records overwrite their existing vector row, new
-        records append rows in corpus order, so the resulting matrix is
-        bit-identical to a fresh :meth:`fit` over ``dataset`` (each row
-        is the deterministic hash of that record's text alone) at the
-        cost of vectorizing only the delta.
-        """
-        self._require_fitted()
-        positions = {rid: row for row, rid in enumerate(self._record_ids)}
-        new_ids = list(dataset.record_ids)
-        if new_ids[: len(positions)] != self._record_ids:
-            # Indexed prefix moved (should not happen via the update
-            # engine); a full refit is deterministic and always correct.
-            self.fit(dataset)
-            self.set_tombstones(tombstones)
-            return
-        assert self._index._data is not None
-        vectors = np.array(self._index._data, dtype=np.float64)
-        changed = [rid for rid in upserted_ids if rid in positions]
-        added = [rid for rid in new_ids[len(positions) :]]
-        if changed:
-            rows = self._vectorize([dataset[rid] for rid in changed])
-            for offset, rid in enumerate(changed):
-                vectors[positions[rid]] = rows[offset]
-        if added:
-            appended = self._vectorize([dataset[rid] for rid in added])
-            vectors = np.concatenate([vectors, appended], axis=0)
-        self._record_ids = new_ids
-        self._sources = [record.source for record in dataset]
-        self._index.fit(vectors)
-        self.set_tombstones(tombstones)
+    def _search(self, queries: np.ndarray, k: int) -> NeighborResult:
+        # Row-invariant: a batched BLAS product can change a row's last
+        # bits with the batch's row count, which would make near-tie
+        # rankings depend on micro-batch composition, so each row's
+        # distances are computed as a one-row search computes them.
+        return self._index.search(queries, k, row_invariant=True)
 
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        """The corpus vector matrix (row order = corpus record order)."""
-        self._require_fitted()
-        assert self._index._data is not None
-        return {"vectors": self._index._data}
-
-    def load_state(self, arrays: Mapping[str, np.ndarray], dataset: Dataset) -> None:
-        """Restore the index from persisted corpus vectors (no re-hashing)."""
-        vectors = arrays.get("vectors")
-        if vectors is None or vectors.shape[0] != len(dataset):
-            self.fit(dataset)
-            return
-        self._record_ids = list(dataset.record_ids)
-        self._sources = [record.source for record in dataset]
-        self._index.fit(np.asarray(vectors, dtype=np.float64))
-        self._tombstones = set()
-        self._fitted = True
-
-    def retrieve(self, records: Sequence[Record], k: int) -> list[list[str]]:
-        """The ``k`` nearest corpus records of each query record.
-
-        The batch is searched in one row-invariant call: a batched BLAS
-        product can change a row's last bits with the batch's row count,
-        which would make near-tie rankings depend on micro-batch
-        composition, so each row's distances are computed as a one-row
-        search computes them.  Every record's candidates — and hence
-        sharded query batches — stay bit-identical however the batch is
-        cut.
-        """
-        self._require_fitted()
-        if k <= 0:
-            raise ConfigurationError("k must be positive")
-        if not records:
-            return []
-        queries = self._vectorize(records)
-        # With source filtering the post-filter cut can eat arbitrarily
-        # many of the top results, so rank the full corpus; the search is
-        # exact (O(n) per query) either way.  Without it, over-fetch by
-        # the self-match slot plus the tombstone count — the search is
-        # exact with index-stable tie-breaking, so extending the ranked
-        # prefix never reorders it.
-        if self.cross_source_only:
-            search_k = self._index.num_indexed
-        else:
-            search_k = k + 1 + len(self._tombstones)
-        search_k = max(min(search_k, self._index.num_indexed), 1)
-        ranked = self._index.search(queries, search_k, row_invariant=True).neighbor_lists()
-        return [
-            self._filter_positions(record, positions, k)
-            for record, positions in zip(records, ranked)
-        ]
+    def _cross_source_fetch(self, k: int) -> int:
+        # The source filter can eat arbitrarily many of the top results,
+        # so rank the full corpus; the search is exact (O(n) per query)
+        # either way.
+        return self._index.num_indexed
 
 
 class BlockerRetriever(CandidateRetriever):

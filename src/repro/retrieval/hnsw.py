@@ -23,13 +23,21 @@ from collections.abc import Mapping, Sequence
 import numpy as np
 
 from ..ann.hnsw import HnswGraphIndex, seeded_levels
-from ..data.records import Dataset, Record
+from ..data.records import Record
 from ..exceptions import ConfigurationError
 from .candidates import HashedVectorRetriever
 
 
 class HnswRetriever(HashedVectorRetriever):
     """Approximate nearest-neighbour retrieval over a layered graph.
+
+    Delta updates insert appended records incrementally (at the seeded
+    level a fresh fit would assign them) and relink modified ones.  The
+    resulting graph is *equivalent* to — but, unlike ``ann_knn``, not
+    necessarily bit-identical with — a fresh fit; compaction
+    (``repro.update --compact force``) rebuilds it exactly.  A search
+    widens its beam to the over-fetched candidate count when that
+    exceeds ``ef_search``.
 
     Parameters
     ----------
@@ -82,10 +90,7 @@ class HnswRetriever(HashedVectorRetriever):
         self.ef_descent = int(ef_descent)
         self.level_p = float(level_p)
         self.seed = int(seed)
-        self._index = self._make_index()
-
-    def _make_index(self) -> HnswGraphIndex:
-        return HnswGraphIndex(
+        self._index = HnswGraphIndex(
             m_neighbors=self.m_neighbors,
             ef_search=self.ef_search,
             ef_descent=self.ef_descent,
@@ -93,26 +98,9 @@ class HnswRetriever(HashedVectorRetriever):
             seed=self.seed,
         )
 
-    def to_spec(self) -> dict[str, object]:
-        """Serialize the retriever configuration into a registry spec."""
-        return {
-            "type": self.spec_type,
-            "params": {
-                "metric": self.metric,
-                "n_features": self.n_features,
-                "attributes": list(self.attributes) if self.attributes is not None else None,
-                "cross_source_only": self.cross_source_only,
-                "m_neighbors": self.m_neighbors,
-                "ef_search": self.ef_search,
-                "ef_descent": self.ef_descent,
-                "level_p": self.level_p,
-                "seed": self.seed,
-            },
-        }
-
     def _encode(self, records: Sequence[Record]) -> np.ndarray:
         """Hashed (and, for cosine, normalized) vectors of ``records``."""
-        vectors = self._vectorize(records)
+        vectors = super()._encode(records)
         if self.metric == "cosine":
             norms = np.linalg.norm(vectors, axis=1, keepdims=True)
             norms[norms == 0] = 1.0
@@ -122,109 +110,25 @@ class HnswRetriever(HashedVectorRetriever):
     def _levels_of(self, record_ids: Sequence[str]) -> np.ndarray:
         return seeded_levels(record_ids, seed=self.seed, level_p=self.level_p)
 
-    def fit(self, dataset: Dataset) -> "HnswRetriever":
-        """Vectorize the corpus and build the layered neighbour graph."""
-        self._register_corpus(dataset)
-        self._index = self._make_index()
-        self._index.fit(self._encode(list(dataset)), self._levels_of(self._record_ids))
-        self._tombstones = set()
-        self._fitted = True
-        return self
+    def _build_index(self, vectors: np.ndarray, arrays: Mapping[str, np.ndarray]) -> None:
+        """Restore the exact graph from ``levels`` and ``adjacency`` arrays.
 
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        """Vectors, levels, and stacked layer adjacency of the fitted graph."""
-        self._require_fitted()
-        return self._index.export_arrays()
-
-    def load_state(self, arrays: Mapping[str, np.ndarray], dataset: Dataset) -> None:
-        """Restore the fitted graph from persisted arrays.
-
-        A full ``vectors``/``levels``/``adjacency`` triple restores the
-        exact graph (byte-identical answers, no rebuild).  A bare
-        ``vectors`` matrix triggers a deterministic rebuild from those
-        vectors — same result as fitting, minus the re-vectorization.
-        Anything else falls back to a fresh :meth:`fit`.
+        Without them the graph is rebuilt from the vectors — the same
+        graph a fit builds.
         """
-        vectors = arrays.get("vectors")
-        if vectors is None or vectors.shape[0] != len(dataset):
-            self.fit(dataset)
-            return
-        self._register_corpus(dataset)
-        self._index = self._make_index()
         levels = arrays.get("levels")
         adjacency = arrays.get("adjacency")
         if levels is not None and adjacency is not None:
             self._index.import_arrays(vectors, levels, adjacency)
         else:
-            self._index.fit(
-                np.asarray(vectors, dtype=np.float64), self._levels_of(self._record_ids)
-            )
-        self._tombstones = set()
-        self._fitted = True
+            self._index.fit(vectors, self._levels_of(self._record_ids))
 
-    def apply_delta(
-        self,
-        dataset: Dataset,
-        upserted_ids: Sequence[str],
-        tombstones: Sequence[str] | frozenset[str] = (),
-    ) -> None:
-        """Absorb a corpus delta at delta cost.
+    def _replace_rows(self, rows: np.ndarray, vectors: np.ndarray) -> None:
+        self._index.replace_vectors(rows, vectors)
+        self._index.relink(rows.tolist())
 
-        Appended records are inserted incrementally (their seeded level
-        is the same one a fresh fit would assign); modified records get
-        their vector row replaced and their graph edges relinked.  The
-        resulting graph is *equivalent* to — but, unlike ``ann_knn``,
-        not necessarily bit-identical with — a fresh fit; compaction
-        (``repro.update --compact force``) rebuilds it exactly.
-        """
-        self._require_fitted()
-        positions = {rid: row for row, rid in enumerate(self._record_ids)}
-        new_ids = list(dataset.record_ids)
-        if new_ids[: len(positions)] != self._record_ids:
-            # Indexed prefix moved (should not happen via the update
-            # engine); a full refit is deterministic and always correct.
-            self.fit(dataset)
-            self.set_tombstones(tombstones)
-            return
-        changed = [rid for rid in upserted_ids if rid in positions]
-        added = new_ids[len(positions) :]
-        if changed:
-            rows = np.array([positions[rid] for rid in changed], dtype=np.int64)
-            self._index.replace_vectors(rows, self._encode([dataset[rid] for rid in changed]))
-            self._index.relink(rows.tolist())
-        if added:
-            self._index.insert(
-                self._encode([dataset[rid] for rid in added]), self._levels_of(added)
-            )
-        self._register_corpus(dataset)
-        self.set_tombstones(tombstones)
-
-    def retrieve(self, records: Sequence[Record], k: int) -> list[list[str]]:
-        """Beam-searched approximate ``k`` nearest corpus records per query.
-
-        Each record is searched individually (batch composition can
-        never change a record's candidates).  The beam over-fetches by
-        the self-match slot and the tombstone count — plus ``k`` under
-        ``cross_source_only``, a bounded over-fetch rather than the
-        exact retriever's full-corpus rank — then filters through the
-        shared admissibility rules.
-        """
-        self._require_fitted()
-        if k <= 0:
-            raise ConfigurationError("k must be positive")
-        if not records:
-            return []
-        queries = self._encode(records)
-        search_k = k + 1 + len(self._tombstones)
-        if self.cross_source_only:
-            search_k += k
-        search_k = max(min(search_k, self._index.num_indexed), 1)
-        ef = max(self.ef_search, search_k)
-        candidates: list[list[str]] = []
-        for row, record in enumerate(records):
-            result = self._index.search(queries[row : row + 1], search_k, ef_search=ef)
-            candidates.append(self._filter_positions(record, result.indices[0].tolist(), k))
-        return candidates
+    def _append_rows(self, vectors: np.ndarray, record_ids: Sequence[str]) -> None:
+        self._index.insert(vectors, self._levels_of(record_ids))
 
 
 __all__ = ["HnswRetriever"]

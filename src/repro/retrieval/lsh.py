@@ -23,13 +23,16 @@ from collections.abc import Mapping, Sequence
 import numpy as np
 
 from ..ann.lsh import SrpBandIndex
-from ..data.records import Dataset, Record
-from ..exceptions import ConfigurationError
+from ..data.records import Record
 from .candidates import HashedVectorRetriever
 
 
 class LshRetriever(HashedVectorRetriever):
     """Banded signed-random-projection retrieval over hashed vectors.
+
+    Buckets may supply fewer than ``k`` admissible records — the
+    retriever contract allows short lists; a record colliding with
+    nothing yields an empty list.
 
     Parameters
     ----------
@@ -67,96 +70,27 @@ class LshRetriever(HashedVectorRetriever):
         self.num_bands = int(num_bands)
         self.rows_per_band = int(rows_per_band)
         self.seed = int(seed)
-        self._index = self._make_index()
-
-    def _make_index(self) -> SrpBandIndex:
-        return SrpBandIndex(
+        self._index = SrpBandIndex(
             num_bands=self.num_bands, rows_per_band=self.rows_per_band, seed=self.seed
         )
 
-    def to_spec(self) -> dict[str, object]:
-        """Serialize the retriever configuration into a registry spec."""
-        return {
-            "type": self.spec_type,
-            "params": {
-                "n_features": self.n_features,
-                "attributes": list(self.attributes) if self.attributes is not None else None,
-                "cross_source_only": self.cross_source_only,
-                "num_bands": self.num_bands,
-                "rows_per_band": self.rows_per_band,
-                "seed": self.seed,
-            },
-        }
+    def _build_index(self, vectors: np.ndarray, arrays: Mapping[str, np.ndarray]) -> None:
+        """Restore the index from persisted ``signatures`` without re-projection.
 
-    def fit(self, dataset: Dataset) -> "LshRetriever":
-        """Vectorize, sign, and bucket every corpus record."""
-        self._register_corpus(dataset)
-        self._index = self._make_index()
-        self._index.fit(self._vectorize(list(dataset)))
-        self._tombstones = set()
-        self._fitted = True
-        return self
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        """Corpus vectors and packed band signatures (row order = corpus)."""
-        self._require_fitted()
-        return self._index.export_arrays()
-
-    def load_state(self, arrays: Mapping[str, np.ndarray], dataset: Dataset) -> None:
-        """Restore the index from persisted vectors (and signatures).
-
-        With both ``vectors`` and ``signatures`` present the index is
-        restored without re-projection; with vectors alone the
-        signatures are re-derived (deterministic — the hyperplanes come
-        from the seed).  Anything else falls back to a fresh
-        :meth:`fit`.
+        Without them the signatures are re-derived (deterministic — the
+        hyperplanes come from the seed).
         """
-        vectors = arrays.get("vectors")
-        if vectors is None or vectors.shape[0] != len(dataset):
-            self.fit(dataset)
-            return
-        self._register_corpus(dataset)
-        self._index = self._make_index()
         signatures = arrays.get("signatures")
         if signatures is not None and signatures.shape[0] == vectors.shape[0]:
             self._index.import_arrays(vectors, signatures)
         else:
-            self._index.fit(np.asarray(vectors, dtype=np.float64))
-        self._tombstones = set()
-        self._fitted = True
+            self._index.fit(vectors)
 
-    def apply_delta(
-        self,
-        dataset: Dataset,
-        upserted_ids: Sequence[str],
-        tombstones: Sequence[str] | frozenset[str] = (),
-    ) -> None:
-        """Re-sign only the upserted records; keep every other row.
+    def _replace_rows(self, rows: np.ndarray, vectors: np.ndarray) -> None:
+        self._index.update_rows(rows, vectors)
 
-        Modified records overwrite their vector row and band signatures
-        in place, new records append rows, and the bucket tables are
-        re-derived — bit-identical to a fresh :meth:`fit` over
-        ``dataset`` (each row's signature depends only on that record's
-        text and the seed) at the cost of signing only the delta.
-        """
-        self._require_fitted()
-        positions = {rid: row for row, rid in enumerate(self._record_ids)}
-        new_ids = list(dataset.record_ids)
-        if new_ids[: len(positions)] != self._record_ids:
-            # Indexed prefix moved (should not happen via the update
-            # engine); a full refit is deterministic and always correct.
-            self.fit(dataset)
-            self.set_tombstones(tombstones)
-            return
-        changed = [rid for rid in upserted_ids if rid in positions]
-        added = new_ids[len(positions) :]
-        if changed:
-            rows = np.array([positions[rid] for rid in changed], dtype=np.int64)
-            self._index.update_rows(rows, self._vectorize([dataset[rid] for rid in changed]))
-        if added:
-            self._index.insert(self._vectorize([dataset[rid] for rid in added]))
-        self._register_corpus(dataset)
-        self.set_tombstones(tombstones)
+    def _append_rows(self, vectors: np.ndarray, record_ids: Sequence[str]) -> None:
+        self._index.insert(vectors)
 
     def candidate_counts(self, records: Sequence[Record]) -> list[int]:
         """Bucket-probe candidate-set size of each query record.
@@ -166,32 +100,8 @@ class LshRetriever(HashedVectorRetriever):
         means the record collides with no bucket at all.
         """
         self._require_fitted()
-        queries = self._vectorize(records)
+        queries = self._encode(records)
         return [len(self._index.probe(queries[row])) for row in range(len(records))]
-
-    def retrieve(self, records: Sequence[Record], k: int) -> list[list[str]]:
-        """Bucket-probed, exact-reranked candidates of each query record.
-
-        Each record probes independently (batch composition can never
-        change a record's candidates).  Buckets may supply fewer than
-        ``k`` admissible records — the contract allows short lists; a
-        record colliding with nothing yields an empty list.
-        """
-        self._require_fitted()
-        if k <= 0:
-            raise ConfigurationError("k must be positive")
-        if not records:
-            return []
-        queries = self._vectorize(records)
-        search_k = k + 1 + len(self._tombstones)
-        if self.cross_source_only:
-            search_k += k
-        search_k = max(min(search_k, self._index.num_indexed), 1)
-        candidates: list[list[str]] = []
-        for row, record in enumerate(records):
-            result = self._index.search(queries[row : row + 1], search_k)
-            candidates.append(self._filter_positions(record, result.indices[0].tolist(), k))
-        return candidates
 
 
 __all__ = ["LshRetriever"]

@@ -71,19 +71,6 @@ def load_scenario_benchmark(dataset: str, num_pairs: int, products: int, seed: i
     )
 
 
-def benchmark_labeler(dataset: str, benchmark):
-    """``(intent labeler, record-level labeling callable)`` of a benchmark."""
-    from ..datasets import BENCHMARK_LABELERS
-
-    labeler = BENCHMARK_LABELERS[dataset]
-    products = benchmark.record_products
-
-    def record_labeler(left, right):
-        return labeler.label_pair(products[left.record_id], products[right.record_id])
-
-    return labeler, record_labeler
-
-
 def query_quality(
     result,
     products: Mapping[str, object],

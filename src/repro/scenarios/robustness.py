@@ -34,12 +34,12 @@ import numpy as np
 from ..data.pairs import CandidateSet
 from ..data.records import Dataset, Record
 from ..data.splits import DatasetSplit
+from ..datasets import benchmark_labeler
 from ..evaluation import evaluate_binary
 from ..matching.features import PairFeatureConfig
 from .base import (
     QUALITY_DIGITS,
     WorkloadScenario,
-    benchmark_labeler,
     load_scenario_benchmark,
     make_scenario_config,
     query_quality,
@@ -207,7 +207,7 @@ class RobustnessGridScenario(WorkloadScenario):
         benchmark = load_scenario_benchmark(
             self.dataset, self.num_pairs, self.products, seed
         )
-        labeler, record_labeler = benchmark_labeler(self.dataset, benchmark)
+        labeler, record_labeler = benchmark_labeler(benchmark)
         enriched = _enriched_dataset(benchmark)
         feature_config = PairFeatureConfig(attributes=ENRICHED_SCHEMA)
 

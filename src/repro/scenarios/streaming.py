@@ -31,11 +31,11 @@ from collections.abc import Sequence
 import numpy as np
 
 from ..data.records import Dataset, Record
+from ..datasets import benchmark_labeler
 from ..exceptions import ScenarioError
 from .base import (
     QUALITY_DIGITS,
     WorkloadScenario,
-    benchmark_labeler,
     load_scenario_benchmark,
     make_scenario_config,
     query_quality,
@@ -228,7 +228,7 @@ class StreamingScenario(WorkloadScenario):
         benchmark = load_scenario_benchmark(
             self.dataset, self.num_pairs, self.products, seed
         )
-        labeler, record_labeler = benchmark_labeler(self.dataset, benchmark)
+        labeler, record_labeler = benchmark_labeler(benchmark)
         products = benchmark.record_products
         head, stream, probes = split_tail(
             benchmark.dataset.records, self.stream_records, self.probe_count

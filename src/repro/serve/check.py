@@ -56,7 +56,7 @@ from pathlib import Path
 import numpy as np
 
 from ..data.serialization import artifact_base_path, list_segment_paths, write_artifact
-from ..datasets import benchmark_names, load_benchmark
+from ..datasets import benchmark_labeler, benchmark_names, load_benchmark
 from ..exceptions import FaultInjectionError, ReloadError, ReproError
 from ..faults import FaultPlan, FaultSpec, RetryPolicy
 from ..model import QueryResult, QuerySession, ResolverModel
@@ -331,15 +331,9 @@ def _chaos_world():
     """
     from ..config import FlexERConfig, GNNConfig, GraphConfig, MatcherConfig
     from ..data.records import Dataset
-    from ..datasets import BENCHMARK_LABELERS
 
     benchmark = load_benchmark("amazon_mi", num_pairs=60, products_per_domain=8, seed=7)
-    labeler = BENCHMARK_LABELERS["amazon_mi"]
-    products = benchmark.record_products
-
-    def label_pair(left, right):
-        return labeler.label_pair(products[left.record_id], products[right.record_id])
-
+    labeler, label_pair = benchmark_labeler(benchmark)
     records = list(benchmark.dataset.records)
     holdout = records[-6:]
     corpus = Dataset(

@@ -8,6 +8,8 @@ from repro.blocking import QGramBlocker, TokenBlocker, join_blocks
 from repro.data.pairs import RecordPair
 from repro.data.records import Dataset, Record
 from repro.exceptions import BlockingError
+from repro.registry import BLOCKERS
+from repro.retrieval import BlockerRetriever
 
 
 class TestQGramBlocker:
@@ -90,6 +92,18 @@ class TestTokenBlocker:
         for max_block_size in (1, 0, -3):
             with pytest.raises(BlockingError, match="max_block_size must exceed 1"):
                 TokenBlocker(max_block_size=max_block_size)
+
+
+@pytest.mark.parametrize("blocker", ["qgram", "token"])
+def test_string_attributes_are_rejected(blocker, toy_dataset):
+    # tuple("title") would name the attributes "t", "i", "t", "l", "e",
+    # which no record has: nothing would be blocked.
+    with pytest.raises(BlockingError, match="attributes"):
+        BLOCKERS.create({"type": blocker, "attributes": "title"})
+    with pytest.raises(BlockingError, match="attributes"):
+        BlockerRetriever(blocker={"type": blocker, "attributes": "title"})
+    listed = BLOCKERS.create({"type": blocker, "attributes": ["title"], "min_shared": 1})
+    assert listed.block(toy_dataset)
 
 
 class TestJoinBlocks:

@@ -1,12 +1,13 @@
-"""Tests of the sub-linear candidate retrievers (hnsw / lsh).
+"""Tests of the hashed-vector candidate retrievers (ann_knn / hnsw / lsh).
 
-The contract suite runs identically over both retrievers: admissibility
-filtering, tombstones, delta updates, batch-order independence, and
-byte-identical persistence round-trips (including memory-mapped
-loading).  Retriever-specific classes cover what differs — LSH's
-fresh-fit bit-identity under deltas, HNSW's seeded level hierarchy —
-and the model-level class exercises the retrievers through
-``repro.fit`` / ``save`` / ``load`` / ``update``.
+The contract suite runs identically over the exact ``ann_knn`` and the
+sub-linear ``hnsw``/``lsh`` retrievers: admissibility filtering,
+tombstones, delta updates, batch-order independence, and byte-identical
+persistence round-trips (including memory-mapped loading).
+Retriever-specific classes cover what differs — fresh-fit
+bit-identity under deltas for ``ann_knn`` and ``lsh``, HNSW's seeded
+level hierarchy — and the model-level class exercises the retrievers
+through ``repro.fit`` / ``save`` / ``load`` / ``update``.
 """
 
 from __future__ import annotations
@@ -25,11 +26,16 @@ from repro.exceptions import ConfigurationError, NotFittedError
 from repro.registry import CANDIDATE_RETRIEVERS
 from repro.retrieval import AnnKnnRetriever, HnswRetriever, LshRetriever
 
-RETRIEVER_NAMES = ("hnsw", "lsh")
+RETRIEVER_NAMES = ("ann_knn", "hnsw", "lsh")
+
+#: A non-default constructor parameter of each retriever, for spec round trips.
+SPEC_PARAMS = {"ann_knn": {"metric": "cosine"}, "hnsw": {"seed": 9}, "lsh": {"seed": 9}}
 
 
 def make_retriever(name: str, **overrides):
     """A small-corpus-friendly instance of the named retriever."""
+    if name == "ann_knn":
+        return AnnKnnRetriever(n_features=64, **overrides)
     if name == "hnsw":
         return HnswRetriever(n_features=64, ef_search=64, **overrides)
     # Short bands keep buckets populated on the few-hundred-record
@@ -165,13 +171,24 @@ class TestSublinearContract:
         assert fitted.retrieve(queries, k=10) == restored.retrieve(queries, k=10)
 
     def test_registry_round_trip(self, name):
-        retriever = CANDIDATE_RETRIEVERS.create({"type": name, "n_features": 32, "seed": 9})
+        params = SPEC_PARAMS[name]
+        retriever = CANDIDATE_RETRIEVERS.create({"type": name, "n_features": 32, **params})
         spec = CANDIDATE_RETRIEVERS.spec(retriever)
         assert spec["type"] == name
         assert spec["params"]["n_features"] == 32
         rebuilt = CANDIDATE_RETRIEVERS.create(spec)
         assert rebuilt.n_features == 32
-        assert rebuilt.seed == 9
+        for key, value in params.items():
+            assert getattr(rebuilt, key) == value
+        assert CANDIDATE_RETRIEVERS.spec(rebuilt) == spec
+
+    def test_string_attributes_are_rejected(self, name):
+        # tuple("title") would name the attributes "t", "i", "t", "l", "e",
+        # which no record has: every record would hash to a zero vector.
+        with pytest.raises(ConfigurationError, match="attributes"):
+            CANDIDATE_RETRIEVERS.create({"type": name, "attributes": "title"})
+        retriever = CANDIDATE_RETRIEVERS.create({"type": name, "attributes": ["title"]})
+        assert retriever.attributes == ("title",)
 
     def test_apply_delta_insert_then_delete_round_trip(self, name, cluster_world):
         corpus, _ = cluster_world
@@ -220,26 +237,59 @@ class TestSublinearContract:
         )
 
 
+def assert_delta_is_bit_identical_to_fresh_fit(name, cluster_world, **overrides):
+    """A delta that edits, appends and deletes leaves a fresh fit's state.
+
+    Holds where the index is derived from each row alone (``ann_knn``,
+    ``lsh``); ``hnsw``'s incrementally linked graph is only equivalent.
+    """
+    corpus, queries = cluster_world
+    retriever = make_retriever(name, **overrides).fit(corpus)
+    records = list(corpus.records)
+    edited = Record(records[3].record_id, {"title": "garmin forerunner gps watch"})
+    records[3] = edited
+    extra = [
+        Record(record_id=f"x{i}", values={"title": f"brand new gadget {i}"})
+        for i in range(5)
+    ]
+    updated = Dataset(
+        records=records + extra, name=corpus.name, attributes=corpus.attributes
+    )
+    (nearest,) = retriever.retrieve(queries[:1], k=1)
+    retriever.apply_delta(
+        updated, [edited.record_id] + [r.record_id for r in extra], tombstones=nearest
+    )
+    fresh = make_retriever(name, **overrides).fit(updated)
+    fresh.set_tombstones(nearest)
+    assert retriever.retrieve(queries, k=10) == fresh.retrieve(queries, k=10)
+    incremental = retriever.state_arrays()
+    refit = fresh.state_arrays()
+    assert sorted(incremental) == sorted(refit)
+    for key in refit:
+        assert np.array_equal(incremental[key], refit[key]), key
+
+
+class TestAnnKnnSpecifics:
+    @pytest.mark.parametrize("metric", ["l2", "cosine"])
+    def test_apply_delta_is_bit_identical_to_fresh_fit(self, cluster_world, metric):
+        assert_delta_is_bit_identical_to_fresh_fit("ann_knn", cluster_world, metric=metric)
+
+    def test_cross_source_only_ranks_the_whole_corpus(self):
+        # Ten same-source copies of the query outrank the one record from
+        # another source; an over-fetch by k would stop short of it.
+        records = [
+            Record(f"w{i}", {"title": "nike air max"}, source="walmart") for i in range(10)
+        ]
+        records.append(Record("a1", {"title": "adidas boost"}, source="amazon"))
+        corpus = Dataset(records=records, name="cc", attributes=("title",))
+        retriever = make_retriever("ann_knn", cross_source_only=True).fit(corpus)
+        query = Record("w99", {"title": "nike air max"}, source="walmart")
+        assert retriever.retrieve([query], k=1) == [["a1"]]
+
+
 class TestLshSpecifics:
     def test_apply_delta_is_bit_identical_to_fresh_fit(self, cluster_world):
-        corpus, queries = cluster_world
-        retriever = make_retriever("lsh").fit(corpus)
-        extra = [
-            Record(record_id=f"x{i}", values={"title": f"brand new gadget {i}"})
-            for i in range(5)
-        ]
-        extended = Dataset(
-            records=list(corpus.records) + extra,
-            name=corpus.name,
-            attributes=corpus.attributes,
-        )
-        retriever.apply_delta(extended, [r.record_id for r in extra])
-        fresh = make_retriever("lsh").fit(extended)
-        assert retriever.retrieve(queries, k=10) == fresh.retrieve(queries, k=10)
-        incremental = retriever.state_arrays()
-        refit = fresh.state_arrays()
-        for key in refit:
-            assert np.array_equal(incremental[key], refit[key]), key
+        assert_delta_is_bit_identical_to_fresh_fit("lsh", cluster_world)
 
     def test_rejects_out_of_range_rows_per_band(self):
         with pytest.raises(ConfigurationError):
@@ -305,7 +355,7 @@ def model_config():
 
 @pytest.fixture(scope="module", params=RETRIEVER_NAMES)
 def sublinear_model(request, model_config):
-    """A ResolverModel fitted with the parametrized sub-linear retriever."""
+    """A ResolverModel fitted with the parametrized hashed-vector retriever."""
     benchmark = load_benchmark("amazon_mi", num_pairs=80, products_per_domain=8, seed=7)
     labeler = BENCHMARK_LABELERS["amazon_mi"]
     products = benchmark.record_products
