@@ -38,6 +38,7 @@ from ..data.serialization import (
     serialize_pair_from_texts,
     serialize_record,
 )
+from ..exceptions import ConfigurationError
 from ..text.memo import TextMemo
 from ..text.similarity import (
     SIMILARITY_FUNCTIONS,
@@ -69,6 +70,14 @@ class PairFeatureConfig:
     use_interaction_features: bool = True
     use_similarity_features: bool = True
     attributes: tuple[str, ...] | None = None
+
+    def __post_init__(self) -> None:
+        if isinstance(self.attributes, str):
+            # Records read the attributes with list()/tuple(), which
+            # would split the name into single characters.
+            raise ConfigurationError(
+                f"attributes must be a list of attribute names, not the string {self.attributes!r}"
+            )
 
     @property
     def dimension(self) -> int:

@@ -75,7 +75,7 @@ from .pipeline.cache import ArtifactCache
 from .pipeline.fingerprint import digest, fingerprint_array
 from .pipeline.runner import STAGE_MATCHER_FIT, PipelineResult, PipelineRunner, StageEvent
 from .registry import CANDIDATE_RETRIEVERS, MODELS, SOLVERS
-from .retrieval.candidates import record_content_key
+from .retrieval.candidates import CandidateRetriever, record_content_key
 
 #: Version of the ResolverModel payload layout.  Bumped when the bundled
 #: components change incompatibly; :meth:`ResolverModel.load` rejects
@@ -291,6 +291,7 @@ class ResolverModel:
         representations: Mapping[str, np.ndarray],
         graph: MultiplexGraph,
         gnn_states: Mapping[str, Mapping[str, np.ndarray]],
+        retriever: CandidateRetriever,
         retriever_spec: Mapping[str, object],
         augment_with_scores: bool = True,
         feature_config: PairFeatureConfig | None = None,
@@ -300,7 +301,8 @@ class ResolverModel:
         Besides bundling the fitted state, this computes what the frozen
         online path needs ahead of time: the per-convolution corpus
         hidden states of every intent's trained GraphSAGE, and a fitted
-        candidate retriever over the corpus.
+        candidate retriever over the corpus: ``retriever`` arrives built
+        from ``retriever_spec`` but not yet fitted.
         """
         corpus = split.train.dataset
         aggregation = GraphAggregation.from_graph(graph, mode=config.gnn.aggregator)
@@ -314,7 +316,6 @@ class ResolverModel:
             # during online attachment needs levels 0..L-1 (level 0 is
             # the feature matrix, stored with the graph payload).
             hiddens[intent] = sage.hidden_states(features, aggregation)[:-1]
-        retriever = CANDIDATE_RETRIEVERS.create(retriever_spec)
         retriever.fit(corpus)
         return cls(
             config=config,

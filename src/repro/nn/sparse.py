@@ -69,12 +69,8 @@ def sparse_matmul(operator: sp.spmatrix, hidden: Tensor) -> Tensor:
             f"operator shape {operator.shape} does not match hidden shape {hidden.shape}"
         )
     csr = operator.tocsr()
-    out = Tensor(csr @ hidden.data, requires_grad=hidden.requires_grad)
-    out._parents = (hidden,)
 
-    def _backward() -> None:
-        assert out.grad is not None
-        hidden._accumulate(csr.T @ out.grad)
+    def _backward(grad: np.ndarray) -> None:
+        hidden._accumulate(csr.T @ grad)
 
-    out._backward = _backward
-    return out
+    return Tensor._from_op(csr @ hidden.data, (hidden,), _backward)

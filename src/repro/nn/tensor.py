@@ -6,6 +6,18 @@ it, and :meth:`Tensor.backward` propagates gradients through the recorded
 graph in reverse topological order.  Only the operations needed by the
 matchers and the GraphSAGE model are implemented, but they are implemented
 with full broadcasting support so models can be written naturally.
+
+Graph lifetime: references run from an op's output to its inputs only.
+An op's backward step takes the output's gradient as its argument and
+captures the op's inputs and constants, never its output, so a graph
+holds no reference cycle and reference counting frees it as soon as its
+result is dropped.  An op is recorded only when one of its inputs
+requires a gradient.  :meth:`Tensor.backward` releases each interior node
+(its gradient, backward step and parents) right after running its step,
+so a training step's activations and gradients are freed when
+``backward`` returns.  Leaves (parameters and constants) keep their
+``grad``.  A second ``backward`` through a released graph raises
+``ValueError``.
 """
 
 from __future__ import annotations
@@ -15,6 +27,7 @@ from collections.abc import Callable, Sequence
 import numpy as np
 
 ArrayLike = np.ndarray | float | int | Sequence
+BackwardStep = Callable[[np.ndarray], None]
 
 
 def _unbroadcast(gradient: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -34,6 +47,11 @@ def _unbroadcast(gradient: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return gradient.reshape(shape)
 
 
+def _released(gradient: np.ndarray) -> None:
+    """The backward step of a node that an earlier ``backward`` released."""
+    raise ValueError("backward() through a graph that an earlier backward() released")
+
+
 class Tensor:
     """A numpy-backed tensor with reverse-mode autodiff.
 
@@ -46,13 +64,15 @@ class Tensor:
         :meth:`backward`.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents")
+    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "__weakref__")
 
     def __init__(self, data: ArrayLike, requires_grad: bool = False) -> None:
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
-        self._backward: Callable[[], None] = lambda: None
+        # The recorded op's backward step (``None`` for a leaf): it maps
+        # this tensor's gradient onto ``_parents``, the op's inputs.
+        self._backward: BackwardStep | None = None
         self._parents: tuple["Tensor", ...] = ()
 
     # ------------------------------------------------------------------ utils
@@ -101,6 +121,21 @@ class Tensor:
     def _lift(value: "Tensor" | ArrayLike) -> "Tensor":
         return value if isinstance(value, Tensor) else Tensor(value)
 
+    @staticmethod
+    def _from_op(
+        data: ArrayLike, parents: tuple["Tensor", ...], backward: BackwardStep
+    ) -> "Tensor":
+        """The output of an op over ``parents``, recorded if any needs a gradient.
+
+        ``backward(grad)`` maps the output's gradient onto ``parents``.  It
+        is defined before the output exists, so it cannot capture it.
+        """
+        out = Tensor(data, any(parent.requires_grad for parent in parents))
+        if out.requires_grad:
+            out._parents = parents
+            out._backward = backward
+        return out
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -108,29 +143,20 @@ class Tensor:
 
     def __add__(self, other: "Tensor" | ArrayLike) -> "Tensor":
         other = self._lift(other)
-        out = Tensor(self.data + other.data, self.requires_grad or other.requires_grad)
-        out._parents = (self, other)
 
-        def _backward() -> None:
-            assert out.grad is not None
-            self._accumulate(_unbroadcast(out.grad, self.shape))
-            other._accumulate(_unbroadcast(out.grad, other.shape))
+        def _backward(grad: np.ndarray) -> None:
+            self._accumulate(_unbroadcast(grad, self.shape))
+            other._accumulate(_unbroadcast(grad, other.shape))
 
-        out._backward = _backward
-        return out
+        return self._from_op(self.data + other.data, (self, other), _backward)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Tensor":
-        out = Tensor(-self.data, self.requires_grad)
-        out._parents = (self,)
+        def _backward(grad: np.ndarray) -> None:
+            self._accumulate(-grad)
 
-        def _backward() -> None:
-            assert out.grad is not None
-            self._accumulate(-out.grad)
-
-        out._backward = _backward
-        return out
+        return self._from_op(-self.data, (self,), _backward)
 
     def __sub__(self, other: "Tensor" | ArrayLike) -> "Tensor":
         return self + (-self._lift(other))
@@ -140,16 +166,12 @@ class Tensor:
 
     def __mul__(self, other: "Tensor" | ArrayLike) -> "Tensor":
         other = self._lift(other)
-        out = Tensor(self.data * other.data, self.requires_grad or other.requires_grad)
-        out._parents = (self, other)
 
-        def _backward() -> None:
-            assert out.grad is not None
-            self._accumulate(_unbroadcast(out.grad * other.data, self.shape))
-            other._accumulate(_unbroadcast(out.grad * self.data, other.shape))
+        def _backward(grad: np.ndarray) -> None:
+            self._accumulate(_unbroadcast(grad * other.data, self.shape))
+            other._accumulate(_unbroadcast(grad * self.data, other.shape))
 
-        out._backward = _backward
-        return out
+        return self._from_op(self.data * other.data, (self, other), _backward)
 
     __rmul__ = __mul__
 
@@ -162,33 +184,25 @@ class Tensor:
 
     def pow(self, exponent: float) -> "Tensor":
         """Element-wise power with a constant exponent."""
-        out = Tensor(np.power(self.data, exponent), self.requires_grad)
-        out._parents = (self,)
 
-        def _backward() -> None:
-            assert out.grad is not None
-            self._accumulate(out.grad * exponent * np.power(self.data, exponent - 1.0))
+        def _backward(grad: np.ndarray) -> None:
+            self._accumulate(grad * exponent * np.power(self.data, exponent - 1.0))
 
-        out._backward = _backward
-        return out
+        return self._from_op(np.power(self.data, exponent), (self,), _backward)
 
     def matmul(self, other: "Tensor" | ArrayLike) -> "Tensor":
         """Matrix product ``self @ other`` for 2-D operands."""
         other = self._lift(other)
-        out = Tensor(self.data @ other.data, self.requires_grad or other.requires_grad)
-        out._parents = (self, other)
 
-        def _backward() -> None:
-            assert out.grad is not None
+        def _backward(grad: np.ndarray) -> None:
             # Only the products whose gradients are kept: a constant
             # operand (a layer's input features) gets none.
             if self.requires_grad:
-                self._accumulate(out.grad @ other.data.T)
+                self._accumulate(grad @ other.data.T)
             if other.requires_grad:
-                other._accumulate(self.data.T @ out.grad)
+                other._accumulate(self.data.T @ grad)
 
-        out._backward = _backward
-        return out
+        return self._from_op(self.data @ other.data, (self, other), _backward)
 
     __matmul__ = matmul
 
@@ -196,33 +210,23 @@ class Tensor:
 
     def reshape(self, *shape: int) -> "Tensor":
         """Return a reshaped view participating in the graph."""
-        out = Tensor(self.data.reshape(*shape), self.requires_grad)
-        out._parents = (self,)
 
-        def _backward() -> None:
-            assert out.grad is not None
-            self._accumulate(out.grad.reshape(self.shape))
+        def _backward(grad: np.ndarray) -> None:
+            self._accumulate(grad.reshape(self.shape))
 
-        out._backward = _backward
-        return out
+        return self._from_op(self.data.reshape(*shape), (self,), _backward)
 
     def transpose(self) -> "Tensor":
         """Transpose of a 2-D tensor."""
-        out = Tensor(self.data.T, self.requires_grad)
-        out._parents = (self,)
 
-        def _backward() -> None:
-            assert out.grad is not None
-            self._accumulate(out.grad.T)
+        def _backward(grad: np.ndarray) -> None:
+            self._accumulate(grad.T)
 
-        out._backward = _backward
-        return out
+        return self._from_op(self.data.T, (self,), _backward)
 
     def index_select(self, indices: np.ndarray | Sequence[int]) -> "Tensor":
         """Select rows of a 2-D tensor (gather); gradients scatter-add back."""
         index_array = np.asarray(indices, dtype=np.int64)
-        out = Tensor(self.data[index_array], self.requires_grad)
-        out._parents = (self,)
         # Distinct indices (the common case: supervision rows) scatter
         # with direct assignment; ``np.add.at`` — an order of magnitude
         # slower — is only needed when rows repeat.
@@ -230,36 +234,29 @@ class Tensor:
             index_array.size > 1 and np.unique(index_array).size < index_array.size
         )
 
-        def _backward() -> None:
-            assert out.grad is not None
+        def _backward(grad: np.ndarray) -> None:
             gradient = np.zeros_like(self.data)
             if has_duplicates:
-                np.add.at(gradient, index_array, out.grad)
+                np.add.at(gradient, index_array, grad)
             else:
-                gradient[index_array] = out.grad
+                gradient[index_array] = grad
             self._accumulate(gradient)
 
-        out._backward = _backward
-        return out
+        return self._from_op(self.data[index_array], (self,), _backward)
 
     # ------------------------------------------------------------- reductions
 
     def sum(self, axis: int | None = None, keepdims: bool = False) -> "Tensor":
         """Sum over ``axis`` (or all elements)."""
-        out = Tensor(self.data.sum(axis=axis, keepdims=keepdims), self.requires_grad)
-        out._parents = (self,)
 
-        def _backward() -> None:
-            assert out.grad is not None
-            gradient = out.grad
+        def _backward(grad: np.ndarray) -> None:
             if axis is not None and not keepdims:
-                gradient = np.expand_dims(gradient, axis=axis)
+                grad = np.expand_dims(grad, axis=axis)
             # Broadcasting happens inside the in-place accumulation; no
             # materialized copy of the expanded gradient is needed.
-            self._accumulate(np.broadcast_to(gradient, self.shape))
+            self._accumulate(np.broadcast_to(grad, self.shape))
 
-        out._backward = _backward
-        return out
+        return self._from_op(self.data.sum(axis=axis, keepdims=keepdims), (self,), _backward)
 
     def mean(self, axis: int | None = None, keepdims: bool = False) -> "Tensor":
         """Mean over ``axis`` (or all elements)."""
@@ -272,46 +269,34 @@ class Tensor:
     def max(self, axis: int, keepdims: bool = False) -> "Tensor":
         """Max over ``axis``; gradient flows to the (first) argmax entries."""
         out_data = self.data.max(axis=axis, keepdims=keepdims)
-        out = Tensor(out_data, self.requires_grad)
-        out._parents = (self,)
 
-        def _backward() -> None:
-            assert out.grad is not None
+        def _backward(grad: np.ndarray) -> None:
             expanded = out_data if keepdims else np.expand_dims(out_data, axis=axis)
             mask = (self.data == expanded).astype(np.float64)
             mask /= np.maximum(mask.sum(axis=axis, keepdims=True), 1.0)
-            gradient = out.grad if keepdims else np.expand_dims(out.grad, axis=axis)
+            gradient = grad if keepdims else np.expand_dims(grad, axis=axis)
             self._accumulate(mask * gradient)
 
-        out._backward = _backward
-        return out
+        return self._from_op(out_data, (self,), _backward)
 
     # ------------------------------------------------------------ activations
 
     def relu(self) -> "Tensor":
         """Rectified linear unit."""
-        out = Tensor(np.maximum(self.data, 0.0), self.requires_grad)
-        out._parents = (self,)
 
-        def _backward() -> None:
-            assert out.grad is not None
-            self._accumulate(out.grad * (self.data > 0.0))
+        def _backward(grad: np.ndarray) -> None:
+            self._accumulate(grad * (self.data > 0.0))
 
-        out._backward = _backward
-        return out
+        return self._from_op(np.maximum(self.data, 0.0), (self,), _backward)
 
     def tanh(self) -> "Tensor":
         """Hyperbolic tangent."""
         value = np.tanh(self.data)
-        out = Tensor(value, self.requires_grad)
-        out._parents = (self,)
 
-        def _backward() -> None:
-            assert out.grad is not None
-            self._accumulate(out.grad * (1.0 - value * value))
+        def _backward(grad: np.ndarray) -> None:
+            self._accumulate(grad * (1.0 - value * value))
 
-        out._backward = _backward
-        return out
+        return self._from_op(value, (self,), _backward)
 
     def sigmoid(self) -> "Tensor":
         """Numerically stable logistic sigmoid."""
@@ -321,64 +306,48 @@ class Tensor:
             np.exp(np.clip(self.data, -500, 500))
             / (1.0 + np.exp(np.clip(self.data, -500, 500))),
         )
-        out = Tensor(value, self.requires_grad)
-        out._parents = (self,)
 
-        def _backward() -> None:
-            assert out.grad is not None
-            self._accumulate(out.grad * value * (1.0 - value))
+        def _backward(grad: np.ndarray) -> None:
+            self._accumulate(grad * value * (1.0 - value))
 
-        out._backward = _backward
-        return out
+        return self._from_op(value, (self,), _backward)
 
     def log(self) -> "Tensor":
         """Natural logarithm (inputs are clipped away from zero)."""
         clipped = np.clip(self.data, 1e-12, None)
-        out = Tensor(np.log(clipped), self.requires_grad)
-        out._parents = (self,)
 
-        def _backward() -> None:
-            assert out.grad is not None
-            self._accumulate(out.grad / clipped)
+        def _backward(grad: np.ndarray) -> None:
+            self._accumulate(grad / clipped)
 
-        out._backward = _backward
-        return out
+        return self._from_op(np.log(clipped), (self,), _backward)
 
     def exp(self) -> "Tensor":
         """Element-wise exponential."""
         value = np.exp(np.clip(self.data, -500, 500))
-        out = Tensor(value, self.requires_grad)
-        out._parents = (self,)
 
-        def _backward() -> None:
-            assert out.grad is not None
-            self._accumulate(out.grad * value)
+        def _backward(grad: np.ndarray) -> None:
+            self._accumulate(grad * value)
 
-        out._backward = _backward
-        return out
+        return self._from_op(value, (self,), _backward)
 
     # ------------------------------------------------------------- composites
 
     @staticmethod
     def concat(tensors: Sequence["Tensor"], axis: int = 1) -> "Tensor":
         """Concatenate tensors along ``axis`` (the CONC operator of Eq. 4)."""
-        data = np.concatenate([tensor.data for tensor in tensors], axis=axis)
-        requires_grad = any(tensor.requires_grad for tensor in tensors)
-        out = Tensor(data, requires_grad)
-        out._parents = tuple(tensors)
-        sizes = [tensor.data.shape[axis] for tensor in tensors]
+        parents = tuple(tensors)
+        data = np.concatenate([tensor.data for tensor in parents], axis=axis)
+        sizes = [tensor.data.shape[axis] for tensor in parents]
 
-        def _backward() -> None:
-            assert out.grad is not None
+        def _backward(grad: np.ndarray) -> None:
             start = 0
-            for tensor, size in zip(tensors, sizes):
-                indexer: list[slice] = [slice(None)] * out.grad.ndim
+            for tensor, size in zip(parents, sizes):
+                indexer: list[slice] = [slice(None)] * grad.ndim
                 indexer[axis] = slice(start, start + size)
-                tensor._accumulate(out.grad[tuple(indexer)])
+                tensor._accumulate(grad[tuple(indexer)])
                 start += size
 
-        out._backward = _backward
-        return out
+        return Tensor._from_op(data, parents, _backward)
 
     def log_softmax(self, axis: int = 1) -> "Tensor":
         """Log-softmax along ``axis`` implemented via stable primitives."""
@@ -395,10 +364,21 @@ class Tensor:
     def backward(self, gradient: np.ndarray | None = None) -> None:
         """Backpropagate from this tensor through the recorded graph.
 
+        Each interior node is released once its backward step has run:
+        its gradient, step and parents are dropped, so the graph's
+        activations and gradients are freed when this call returns and
+        nothing holds them.  Leaves keep their gradients.
+
         Parameters
         ----------
         gradient:
             Seed gradient; defaults to 1 for scalar tensors.
+
+        Raises
+        ------
+        ValueError
+            Without a gradient on a non-scalar tensor, or when the graph
+            was released by an earlier ``backward``.
         """
         if gradient is None:
             if self.data.size != 1:
@@ -408,20 +388,35 @@ class Tensor:
         # caller's array must never be aliased.
         self.grad = np.array(gradient, dtype=np.float64).reshape(self.data.shape)
 
-        ordered: list[Tensor] = []
-        visited: set[int] = set()
-
-        def visit(node: "Tensor") -> None:
-            if id(node) in visited:
-                return
-            visited.add(id(node))
-            for parent in node._parents:
-                visit(parent)
-            ordered.append(node)
-
-        visit(self)
-        for node in reversed(ordered):
-            # Nodes that do not require gradients never receive one from
-            # their children; their backward step has nothing to propagate.
+        ordered = self._interior_nodes()
+        while ordered:
+            node = ordered.pop()
+            # A node that does not require a gradient never receives one
+            # from its children; its step has nothing to propagate.
             if node.grad is not None:
-                node._backward()
+                node._backward(node.grad)
+            node.grad, node._backward, node._parents = None, _released, ()
+
+    def _interior_nodes(self) -> list["Tensor"]:
+        """The recorded nodes up to this one, each after all of its inputs.
+
+        The depth-first post-order a recursive walk over ``_parents``
+        gives, built with an explicit stack so a deep graph cannot reach
+        the recursion limit.  Leaves are left out: they have no step.
+        """
+        if self._backward is None:
+            return []
+        ordered: list[Tensor] = []
+        visited = {id(self)}
+        stack = [(self, iter(self._parents))]
+        while stack:
+            node, parents = stack[-1]
+            for parent in parents:
+                if parent._backward is not None and id(parent) not in visited:
+                    visited.add(id(parent))
+                    stack.append((parent, iter(parent._parents)))
+                    break
+            else:
+                stack.pop()
+                ordered.append(node)
+        return ordered

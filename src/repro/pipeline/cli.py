@@ -49,6 +49,7 @@ from ..config import CacheConfig, FlexERConfig, GNNConfig, GraphConfig, MatcherC
 from ..data.serialization import write_artifact
 from ..datasets import benchmark_labeler, benchmark_names, load_benchmark
 from ..evaluation import evaluate_binary, format_table
+from ..exceptions import ConfigurationError
 from ..exec import executor_spec
 from ..resolver import Resolver, ResolverResult
 from .batch import BatchRunner, k_sweep
@@ -739,13 +740,18 @@ def _command_fit(args: argparse.Namespace) -> int:
         config=_make_config(args, k_neighbors=args.k, blocker=blocker_spec),
         cache=_make_cache(args),
     )
-    model = resolver.fit(
-        corpus,
-        intents=labeler.intent_names,
-        labeler=record_labeler,
-        split_seed=args.seed,
-        retriever=retriever_spec,
-    )
+    try:
+        model = resolver.fit(
+            corpus,
+            intents=labeler.intent_names,
+            labeler=record_labeler,
+            split_seed=args.seed,
+            retriever=retriever_spec,
+        )
+    except ConfigurationError as error:
+        # The retriever is built before any pipeline stage runs, so an
+        # invalid --retriever-arg ends here, reported as a usage error.
+        raise SystemExit(f"pipeline fit: {error}") from None
     path = model.save(args.save_model)
     description = model.describe()
     print(

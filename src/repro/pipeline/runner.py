@@ -405,6 +405,9 @@ class PipelineRunner:
         intents = tuple(intents)
         config = config or FlexERConfig()
         retriever_spec = CANDIDATE_RETRIEVERS.normalize(retriever)
+        # Built before any stage runs, so an invalid retriever argument
+        # fails at once rather than after every matcher and GNN trained.
+        candidate_retriever = CANDIDATE_RETRIEVERS.create(retriever_spec)
         result, internals = self._execute(split, intents, config)
         corpus = split.train.dataset
         key = digest(
@@ -431,6 +434,7 @@ class PipelineRunner:
             representations=internals["representations"],
             graph=internals["graph"],
             gnn_states=internals["gnn_states"],
+            retriever=candidate_retriever,
             retriever_spec=retriever_spec,
             augment_with_scores=self.augment_with_scores,
             feature_config=self.feature_config,

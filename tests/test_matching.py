@@ -8,7 +8,7 @@ import pytest
 from repro.config import MatcherConfig
 from repro.core.mier import MIERSolution
 from repro.evaluation import evaluate_solution
-from repro.exceptions import MatchingError, NotFittedError
+from repro.exceptions import ConfigurationError, MatchingError, NotFittedError
 from repro.matching import (
     InParallelSolver,
     MultiLabelMatcher,
@@ -61,6 +61,19 @@ class TestPairFeatureEncoder:
         with_interactions = PairFeatureConfig(n_features=32, use_interaction_features=True)
         without = PairFeatureConfig(n_features=32, use_interaction_features=False)
         assert with_interactions.dimension > without.dimension
+
+    def test_string_attributes_are_rejected(self, toy_dataset, toy_candidates):
+        # tuple("title") would name the attributes "t", "i", "t", "l", "e",
+        # which no record has: every pair would lose its text.
+        with pytest.raises(ConfigurationError, match="attributes"):
+            PairFeatureConfig(attributes="title")
+        encoded = [
+            PairFeatureEncoder(PairFeatureConfig(n_features=32, attributes=attributes)).encode(
+                toy_dataset, toy_candidates.pairs
+            )
+            for attributes in (("title",), ["title"], None)
+        ]
+        assert encoded[0].tobytes() == encoded[1].tobytes() == encoded[2].tobytes()
 
 
 class TestPairMatcher:

@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.config import GNNConfig, GraphConfig, MatcherConfig
+from repro.graph import IntentGraphBuilder, IntentNodeClassifier
+from repro.matching import MultiLabelMatcher, PairMatcher
 from repro.nn.tensor import Tensor
 
 
@@ -98,20 +105,21 @@ class TestTensorBasics:
         assert np.allclose(a.grad, [[4.0, 4.0]])
 
 
+#: Scalar-valued ops of the numerical gradient checks.
+OPERATIONS = [
+    lambda t: t.relu().sum(),
+    lambda t: t.sigmoid().sum(),
+    lambda t: t.tanh().sum(),
+    lambda t: (t * t).mean(),
+    lambda t: t.exp().sum(),
+    lambda t: (t.sigmoid() + 0.1).log().sum(),
+    lambda t: t.log_softmax(axis=1).sum(),
+    lambda t: t.softmax(axis=1).max(axis=1).sum(),
+]
+
+
 class TestNumericalGradients:
-    @pytest.mark.parametrize(
-        "operation",
-        [
-            lambda t: t.relu().sum(),
-            lambda t: t.sigmoid().sum(),
-            lambda t: t.tanh().sum(),
-            lambda t: (t * t).mean(),
-            lambda t: t.exp().sum(),
-            lambda t: (t.sigmoid() + 0.1).log().sum(),
-            lambda t: t.log_softmax(axis=1).sum(),
-            lambda t: t.softmax(axis=1).max(axis=1).sum(),
-        ],
-    )
+    @pytest.mark.parametrize("operation", OPERATIONS)
     def test_elementwise_ops_match_numerical(self, operation):
         array = np.random.default_rng(0).normal(size=(3, 4))
         tensor = Tensor(array.copy(), requires_grad=True)
@@ -166,3 +174,124 @@ class TestSoftmax:
         tensor = Tensor(np.array([[1000.0, 0.0]]))
         values = tensor.log_softmax(axis=1).numpy()
         assert np.isfinite(values).all()
+
+
+# ------------------------------------------------------------------ graph lifetime
+
+
+@contextmanager
+def collector_off():
+    """Run the body with the cyclic garbage collector disabled."""
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def cyclic_garbage(function) -> int:
+    """Objects the cyclic collector finds after ``function()`` ran with it off."""
+    with collector_off():
+        function()
+        return gc.collect()
+
+
+class TestGraphLifetime:
+    def test_backward_frees_interior_nodes_and_leaves_keep_gradients(self):
+        rng = np.random.default_rng(3)
+        weight = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+        inputs = Tensor(rng.normal(size=(4, 3)))
+        activation = np.maximum(inputs.data @ weight.data, 0.0)
+        with collector_off():
+            hidden = (inputs @ weight).relu()
+            interior = weakref.ref(hidden)
+            loss = (hidden * hidden).mean()
+            del hidden
+            assert interior() is not None  # the graph holds it until backward
+            loss.backward()
+            # Released: the caller still holds ``loss``, but not its graph.
+            assert interior() is None
+        assert loss.item() == pytest.approx((activation * activation).mean())
+        expected = inputs.data.T @ (2.0 * activation / activation.size)
+        assert np.allclose(weight.grad, expected)
+        assert inputs.grad is None
+
+    def test_second_backward_through_a_released_graph_raises(self):
+        a = Tensor([[1.0, -2.0]], requires_grad=True)
+        hidden = a * a
+        loss = hidden.sum()
+        loss.backward()
+        with pytest.raises(ValueError, match="released"):
+            loss.backward()
+        with pytest.raises(ValueError, match="released"):
+            (hidden * 3.0).sum().backward()
+        assert np.array_equal(a.grad, [[2.0, -4.0]])
+
+    def test_deep_graph_does_not_reach_the_recursion_limit(self):
+        a = Tensor(np.ones((2, 2)), requires_grad=True)
+        chain = a
+        for _ in range(5000):
+            chain = chain * 1.0
+        chain.sum().backward()
+        assert np.array_equal(a.grad, np.ones((2, 2)))
+
+    @given(
+        data=st.data(),
+        shape=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+        steps=st.lists(st.sampled_from(range(len(OPERATIONS))), min_size=1, max_size=5),
+        propagate=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_op_chains_leave_no_cyclic_garbage(self, data, shape, steps, propagate):
+        array = data.draw(hnp.arrays(np.float64, shape, elements=st.floats(-2.0, 2.0)))
+        weight = data.draw(hnp.arrays(np.float64, (shape[1], shape[1]), elements=st.floats(-1, 1)))
+
+        def chain() -> None:
+            leaf = Tensor(array, requires_grad=True)
+            hidden = Tensor(weight) @ leaf.transpose()
+            for step in steps:
+                # Each op reduces to a scalar; broadcasting it back keeps
+                # the chain going through every recorded op.
+                hidden = hidden.transpose() * OPERATIONS[step](hidden)
+            if propagate:
+                hidden.sum().backward()
+                assert leaf.grad is not None
+
+        with np.errstate(all="ignore"):
+            assert cyclic_garbage(chain) == 0
+
+
+@pytest.fixture(scope="module")
+def fit_data():
+    rng = np.random.default_rng(5)
+    features = rng.normal(size=(40, 8))
+    labels = (features[:, 0] > 0).astype(np.int64)
+    label_matrix = np.stack([labels, (features[:, 1] > 0).astype(np.int64)], axis=1)
+    representations = {intent: rng.normal(size=(30, 5)) for intent in ("a", "b")}
+    graph = IntentGraphBuilder(GraphConfig(k_neighbors=3)).build(representations)
+    graph_labels = (representations["a"][:, 0] > 0).astype(np.int64)
+    return features, labels, label_matrix, graph, graph_labels
+
+
+MATCHER = MatcherConfig(hidden_dims=(12, 6), epochs=3, batch_size=16, weight_decay=1e-3, seed=2)
+
+
+@pytest.mark.parametrize("trainer", ["pair_matcher", "multilabel_matcher", "graphsage"])
+def test_training_leaves_no_cyclic_garbage(fit_data, trainer):
+    """A fit with the collector off leaves nothing for it to collect."""
+    features, labels, label_matrix, graph, graph_labels = fit_data
+    fits = {
+        "pair_matcher": lambda: PairMatcher(MATCHER).fit(features, labels),
+        "multilabel_matcher": lambda: MultiLabelMatcher(("a", "b"), MATCHER).fit(
+            features, label_matrix
+        ),
+        "graphsage": lambda: IntentNodeClassifier(
+            GNNConfig(hidden_dim=8, epochs=4, weight_decay=5e-4)
+        ).fit_predict(
+            graph, "a", np.arange(18), graph_labels[:18], np.arange(18, 26), graph_labels[18:26]
+        ),
+    }
+    assert cyclic_garbage(fits[trainer]) == 0

@@ -377,3 +377,23 @@ class TestCliOptions:
             main([*arguments, *flag])
         assert excinfo.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_invalid_retriever_arg_fails_before_any_stage(self, tmp_path, monkeypatch):
+        from repro.pipeline.cli import main
+
+        def no_stage(*args, **kwargs):  # pragma: no cover - trap
+            raise AssertionError("a pipeline stage ran before the retriever was checked")
+
+        monkeypatch.setattr(PipelineRunner, "_execute", no_stage)
+        model_path = tmp_path / "model.npz"
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                [
+                    "fit", "--dataset", "amazon_mi", "--num-pairs", "40", "--products", "5",
+                    "--retriever", "lsh", "--retriever-arg", "rows_per_band=0",
+                    "--save-model", str(model_path), "--no-cache",
+                ]
+            )
+        # A string exit code is printed to stderr, with exit status 1.
+        assert excinfo.value.code == "pipeline fit: rows_per_band must lie in [1, 62]"
+        assert not model_path.exists()

@@ -103,9 +103,9 @@ def reference_matmul(self, other):
     out = Tensor(self.data @ other.data, self.requires_grad or other.requires_grad)
     out._parents = (self, other)
 
-    def _backward():
-        self._accumulate(out.grad @ other.data.T)
-        other._accumulate(self.data.T @ out.grad)
+    def _backward(grad):
+        self._accumulate(grad @ other.data.T)
+        other._accumulate(self.data.T @ grad)
 
     out._backward = _backward
     return out
